@@ -10,8 +10,8 @@
 // carved from — tiny blocks force frequent upstream allocations (the
 // "remote/unbatched" end), large blocks amortize them (the "local/batched"
 // end). The paper-shaped claim to check is the same: allocation placement
-// policy does not significantly move fanin throughput. The substitution is
-// documented in DESIGN.md section 4.
+// policy does not significantly move fanin throughput. This header is the
+// record of the substitution.
 
 #include <benchmark/benchmark.h>
 

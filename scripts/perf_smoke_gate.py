@@ -14,20 +14,13 @@ with `trace:off`) is compared against a second future_churn document from a
 per-proc "pool" throughput ratios must stay within --max-trace-overhead
 (default 3%) of the compiled-out build.
 
-With --epoch-compare, enforces the same bounded-overhead claim for the
-epoch-based reclamation layer (src/mem/epoch.hpp): the main document
-(epoch compiled in — worker loops pin/refresh/tick) against a future_churn
-document from a -DSPDAG_EPOCH=OFF build. Budget --max-epoch-overhead
-(default 3% geomean).
-
 With --service, additionally sanity-gates the dag_service traffic bench
 (BENCH_service_traffic.json): every service/<sched>/clients:<c> record must
 conserve submissions (completed == submitted - rejected, completed > 0),
-report a finite positive sojourn p99 and a positive completion rate. When
-the records were produced by an epoch-enabled build (extra.epoch_enabled),
-each must also show busy trims actually firing, and ACROSS the document
-some slabs must have made the full retire -> reclaim trip — the
-busy-trim-under-load acceptance (the dispatcher only trims inside its
+report a finite positive sojourn p99 and a positive completion rate. Each
+must also show busy trims actually firing (extra.busy_trims > 0), and
+ACROSS the document some slabs must have made the full retire -> reclaim
+trip (extra.slabs_reclaimed) — the busy-trim-under-load acceptance (the dispatcher only trims inside its
 dispatch loop, so a nonzero count proves reclamation under live traffic).
 This is a correctness gate, not a throughput gate — service rates depend on
 the offered arrival schedule, so absolute numbers are not pinned.
@@ -41,18 +34,9 @@ must report counter_ops_per_edge strictly < 1.0, unbatched records must
 sit at exactly 1.0 (small tolerance for float serialization) — unbatched
 execution pays one inc + one dec per edge by construction.
 
-With --contention, additionally gates the contention-diffusion ablation
-(BENCH_contention.json from bench/contention_ablation): every
-contention/<family>/<spec>/proc:<p> record must conserve its operations
-exactly (accounted == attempted > 0) and report a finite positive rate,
-and every DIFFUSED spec (extra.diffused == 1: pool:elim / simple:fc / fc)
-at procs >= 2 must show the diffusion machinery actually firing —
-eliminations + combined_ops > 0. The storms retry a bounded number of
-rounds specifically so this is deterministic on a 1-core runner.
-
 With --selftest, runs the embedded good/bad fixture documents through
-every gate (churn pool/malloc ratio, trace/epoch overhead compare,
-service, apps, contention) and exits nonzero if any gate passes a bad
+every gate (churn pool/malloc ratio, trace overhead compare, service,
+apps) and exits nonzero if any gate passes a bad
 fixture or fails a good one — run this FIRST in CI so a refactor of this
 script cannot silently pass everything.
 
@@ -61,11 +45,8 @@ Exit codes: 0 pass, 1 perf regression, 2 malformed/unusable input.
 Usage: perf_smoke_gate.py BENCH_future_churn.json [--min-ratio 0.9]
            [--trace-compare BENCH_future_churn_notrace.json]
            [--max-trace-overhead 0.03]
-           [--epoch-compare BENCH_future_churn_noepoch.json]
-           [--max-epoch-overhead 0.03]
            [--service BENCH_service_traffic.json]
            [--apps BENCH_apps.json]
-           [--contention BENCH_contention.json]
        perf_smoke_gate.py --selftest
 """
 
@@ -104,9 +85,9 @@ def churn_pool_rates(doc):
 def overhead_gate(doc, compare_path, max_overhead, label):
     """True when the main run keeps up with the feature-compiled-out build.
 
-    Shared by --trace-compare and --epoch-compare: both assert that a
-    compile-time-removable layer costs at most `max_overhead` (geomean of
-    per-proc pool-throughput ratios) when compiled in.
+    --trace-compare: the compile-time-removable tracing layer costs at most
+    `max_overhead` (geomean of per-proc pool-throughput ratios) when
+    compiled in.
     """
     stripped = load(compare_path)
     enabled = churn_pool_rates(doc)
@@ -136,7 +117,6 @@ def service_gate(path):
     doc = load(path)
     checked = 0
     ok = True
-    epoch_records = 0
     total_reclaimed = 0.0
     total_retired = 0.0
     for rec in doc["records"]:
@@ -161,16 +141,13 @@ def service_gate(path):
             problems.append(f"sojourn p99 not finite/positive: {p99}")
         if not (math.isfinite(rate) and rate > 0):
             problems.append(f"ops_per_s not finite/positive: {rate}")
-        if extra.get("epoch_enabled", 0) > 0:
-            epoch_records += 1
-            busy_trims = extra.get("busy_trims", 0)
-            total_retired += extra.get("slabs_retired", 0)
-            total_reclaimed += extra.get("slabs_reclaimed", 0)
-            # The cadence (busy_trim_every << dispatch count) guarantees
-            # trims per record; slab yield varies with traffic shape, so
-            # the retire/reclaim assertion is document-wide, below.
-            if busy_trims <= 0:
-                problems.append("epoch enabled but busy_trims == 0")
+        total_retired += extra.get("slabs_retired", 0)
+        total_reclaimed += extra.get("slabs_reclaimed", 0)
+        # The cadence (busy_trim_every << dispatch count) guarantees trims
+        # per record; slab yield varies with traffic shape, so the
+        # retire/reclaim assertion is document-wide, below.
+        if extra.get("busy_trims", 0) <= 0:
+            problems.append("busy_trims == 0")
         verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
         print(f"  {name}: completed {completed:,.0f}/{submitted:,.0f} "
               f"@ {rate:,.0f}/s, sojourn p99 {p99:.3f}ms [{verdict}]")
@@ -180,17 +157,15 @@ def service_gate(path):
         print(f"perf_smoke_gate: no service/ records in {path}",
               file=sys.stderr)
         sys.exit(2)
-    if epoch_records > 0:
-        reclaim_ok = total_reclaimed > 0
-        verdict = "ok" if reclaim_ok else "FAIL"
-        print(f"  busy-trim acceptance: slabs retired {total_retired:.0f}, "
-              f"reclaimed {total_reclaimed:.0f} across {epoch_records} "
-              f"epoch-enabled records [{verdict}]")
-        if not reclaim_ok:
-            print("perf_smoke_gate: epoch-enabled service never reclaimed a "
-                  "slab under load — busy trim is not doing its job",
-                  file=sys.stderr)
-            ok = False
+    reclaim_ok = total_reclaimed > 0
+    verdict = "ok" if reclaim_ok else "FAIL"
+    print(f"  busy-trim acceptance: slabs retired {total_retired:.0f}, "
+          f"reclaimed {total_reclaimed:.0f} across {checked} records "
+          f"[{verdict}]")
+    if not reclaim_ok:
+        print("perf_smoke_gate: service never reclaimed a slab under load — "
+              "busy trim is not doing its job", file=sys.stderr)
+        ok = False
     return ok
 
 
@@ -250,48 +225,6 @@ def apps_gate(path):
     return ok
 
 
-def contention_gate(path):
-    """True when every contention-ablation record is sane (see module doc)."""
-    doc = load(path)
-    checked = 0
-    ok = True
-    for rec in doc["records"]:
-        name = rec.get("name", "")
-        if not name.startswith("contention/"):
-            continue
-        checked += 1
-        extra = rec.get("extra", {})
-        attempted = extra.get("attempted", 0)
-        accounted = extra.get("accounted", 0)
-        diffused = extra.get("diffused", 0) > 0
-        fired = extra.get("eliminations", 0) + extra.get("combined_ops", 0)
-        rate = rec.get("ops_per_s", 0)
-        proc = rec.get("proc", 0)
-        problems = []
-        if attempted <= 0:
-            problems.append("attempted == 0")
-        if accounted != attempted:
-            problems.append(
-                f"conservation: accounted {accounted:.0f} != attempted "
-                f"{attempted:.0f}")
-        if not (math.isfinite(rate) and rate > 0):
-            problems.append(f"ops_per_s not finite/positive: {rate}")
-        if diffused and proc >= 2 and fired <= 0:
-            problems.append(
-                "diffused spec never diffused: eliminations + combined_ops "
-                "== 0 at procs >= 2")
-        verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
-        print(f"  {name}: {attempted:,.0f} ops @ {rate:,.0f}/s, "
-              f"diffusion events {fired:,.0f} [{verdict}]")
-        if problems:
-            ok = False
-    if checked == 0:
-        print(f"perf_smoke_gate: no contention/ records in {path}",
-              file=sys.stderr)
-        sys.exit(2)
-    return ok
-
-
 def churn_gate(doc, min_ratio):
     """True when pooled churn throughput keeps up with same-run malloc.
 
@@ -344,11 +277,14 @@ def _churn_rec(spec, proc, rate):
             "ops_per_s": rate}
 
 
-def _service_rec(completed, submitted, rejected=0, p99=1.0, rate=100.0):
+def _service_rec(completed, submitted, rejected=0, p99=1.0, rate=100.0,
+                 busy_trims=4, reclaimed=2):
     return {"name": "service/default/clients:2", "proc": 2, "ops_per_s": rate,
             "lat_p99_ms": p99,
             "extra": {"submitted": submitted, "rejected": rejected,
-                      "completed": completed}}
+                      "completed": completed, "busy_trims": busy_trims,
+                      "slabs_retired": reclaimed,
+                      "slabs_reclaimed": reclaimed}}
 
 
 def _app_rec(batch, ratio, completed=100, spawned=100, p99=1.0, rate=100.0):
@@ -356,17 +292,6 @@ def _app_rec(batch, ratio, completed=100, spawned=100, p99=1.0, rate=100.0):
             "lat_p99_ms": p99,
             "extra": {"completed": completed, "spawned": spawned,
                       "counter_ops_per_edge": ratio, "batch": batch}}
-
-
-def _contention_rec(spec, proc, diffused, elim=0, combined=0, attempted=100,
-                    accounted=None, rate=100.0):
-    return {"name": f"contention/x/{spec}/proc:{proc}", "spec": spec,
-            "proc": proc, "ops_per_s": rate,
-            "extra": {"attempted": attempted,
-                      "accounted": attempted if accounted is None
-                      else accounted,
-                      "diffused": diffused, "eliminations": elim,
-                      "combined_ops": combined}}
 
 
 def selftest():
@@ -399,7 +324,7 @@ def selftest():
         expect("churn bad", "fail", lambda: churn_gate(churn_bad, 0.9))
         expect("churn empty", "exit2", lambda: churn_gate(_fixture([]), 0.9))
 
-        # trace/epoch overhead compare (same code path for both flags)
+        # trace overhead compare
         flat = write("flat.json", churn_good)
         slow = _fixture([_churn_rec("malloc", 1, 100.0),
                          _churn_rec("pool", 1, 60.0)])
@@ -416,7 +341,20 @@ def selftest():
         svc_bad = write("svc_bad.json", _fixture([_service_rec(90, 100)]))
         expect("service good", "pass", lambda: service_gate(svc_good))
         expect("service bad", "fail", lambda: service_gate(svc_bad))
+        svc_notrim = write("svc_notrim.json", _fixture([
+            _service_rec(100, 100), _service_rec(100, 100, busy_trims=0)]))
+        expect("service no busy trim", "fail",
+               lambda: service_gate(svc_notrim))
+        svc_noreclaim = write("svc_noreclaim.json", _fixture([
+            _service_rec(100, 100, reclaimed=0)]))
+        expect("service never reclaimed", "fail",
+               lambda: service_gate(svc_noreclaim))
         expect("service empty", "exit2", lambda: service_gate(empty))
+        truncated = os.path.join(tmp, "truncated.json")
+        with open(truncated, "w") as f:
+            f.write("{\"schema\": 2, \"records\": [")
+        expect("service malformed", "exit2",
+               lambda: service_gate(truncated))
 
         # apps gate
         apps_good = write("apps_good.json",
@@ -429,31 +367,6 @@ def selftest():
         expect("apps bad", "fail", lambda: apps_gate(apps_bad))
         expect("apps no-batch", "exit2", lambda: apps_gate(apps_nobatch))
         expect("apps empty", "exit2", lambda: apps_gate(empty))
-
-        # contention gate
-        cont_good = write("cont_good.json", _fixture([
-            _contention_rec("pool", 2, 0),
-            _contention_rec("pool:elim", 2, 1, elim=8),
-            _contention_rec("simple:fc", 2, 1, combined=40),
-            _contention_rec("simple:fc", 1, 1),  # 1 proc: no firing needed
-        ]))
-        cont_undiffused = write("cont_undiffused.json", _fixture([
-            _contention_rec("pool:elim", 2, 1, elim=0, combined=0)]))
-        cont_leak = write("cont_leak.json", _fixture([
-            _contention_rec("pool", 2, 0, accounted=99)]))
-        cont_rate = write("cont_rate.json", _fixture([
-            _contention_rec("pool", 2, 0, rate=0.0)]))
-        expect("contention good", "pass", lambda: contention_gate(cont_good))
-        expect("contention undiffused", "fail",
-               lambda: contention_gate(cont_undiffused))
-        expect("contention leak", "fail", lambda: contention_gate(cont_leak))
-        expect("contention rate", "fail", lambda: contention_gate(cont_rate))
-        expect("contention empty", "exit2", lambda: contention_gate(empty))
-        truncated = os.path.join(tmp, "truncated.json")
-        with open(truncated, "w") as f:
-            f.write("{\"schema\": 2, \"records\": [")
-        expect("contention malformed", "exit2",
-               lambda: contention_gate(truncated))
 
     if failures:
         print(f"perf_smoke_gate: SELFTEST FAILED: {', '.join(failures)}",
@@ -476,13 +389,6 @@ def main():
     ap.add_argument("--max-trace-overhead", type=float, default=0.03,
                     help="max geomean throughput loss of trace:off vs the "
                          "compiled-out build (default 0.03)")
-    ap.add_argument("--epoch-compare", metavar="NOEPOCH_JSON", default=None,
-                    help="future_churn document from a -DSPDAG_EPOCH=OFF "
-                         "build; bounds the pin/refresh/tick overhead of "
-                         "the epoch reclamation layer")
-    ap.add_argument("--max-epoch-overhead", type=float, default=0.03,
-                    help="max geomean throughput loss of the epoch-enabled "
-                         "build vs the compiled-out one (default 0.03)")
     ap.add_argument("--service", metavar="SERVICE_JSON", default=None,
                     help="service_traffic document; sanity-gates the "
                          "dag_service records (conservation + finite p99)")
@@ -490,10 +396,6 @@ def main():
                     help="merged application-tier document; gates vertex "
                          "conservation and counter_ops_per_edge < 1.0 on "
                          "batch configs")
-    ap.add_argument("--contention", metavar="CONTENTION_JSON", default=None,
-                    help="contention_ablation document; gates exactly-once "
-                         "conservation and diffused specs actually firing "
-                         "(eliminations + combined_ops > 0 at procs >= 2)")
     ap.add_argument("--selftest", action="store_true",
                     help="run every gate over embedded good/bad fixtures "
                          "and exit (no input document needed)")
@@ -509,12 +411,6 @@ def main():
           f"{len(doc['records'])} records")
 
     failed = not churn_gate(doc, args.min_ratio)
-    if args.contention is not None:
-        if not contention_gate(args.contention):
-            print("perf_smoke_gate: FAIL - contention-ablation records "
-                  "violated conservation or a diffused spec never fired",
-                  file=sys.stderr)
-            sys.exit(1)
     if args.apps is not None:
         if not apps_gate(args.apps):
             print("perf_smoke_gate: FAIL - application-tier records violated "
@@ -524,7 +420,8 @@ def main():
     if args.service is not None:
         if not service_gate(args.service):
             print("perf_smoke_gate: FAIL - dag_service traffic records "
-                  "violated conservation or reported degenerate latency",
+                  "violated conservation, reported degenerate latency, or "
+                  "never busy-trimmed",
                   file=sys.stderr)
             sys.exit(1)
     if args.trace_compare is not None:
@@ -532,13 +429,6 @@ def main():
                              args.max_trace_overhead, "trace:off"):
             print(f"perf_smoke_gate: FAIL - trace:off lost more than "
                   f"{args.max_trace_overhead:.0%} vs the compiled-out build",
-                  file=sys.stderr)
-            sys.exit(1)
-    if args.epoch_compare is not None:
-        if not overhead_gate(doc, args.epoch_compare,
-                             args.max_epoch_overhead, "epoch-on"):
-            print(f"perf_smoke_gate: FAIL - the epoch layer cost more than "
-                  f"{args.max_epoch_overhead:.0%} vs the compiled-out build",
                   file=sys.stderr)
             sys.exit(1)
     if failed:

@@ -63,12 +63,6 @@ struct pool_stats {
                                     // epoch limbo (epoch reclamation)
   std::uint64_t slabs_reclaimed = 0;// limbo slabs actually freed after the
                                     // 2-epoch safety delay
-  std::uint64_t eliminations = 0;   // free/alloc pairs that rendezvoused on
-                                    // an elimination slot and cancelled
-                                    // without touching the recycle list
-                                    // (alloc:pool:elim; counted per pair)
-  std::uint64_t elim_timeouts = 0;  // offers that spun out and fell through
-                                    // to the Treiber list
 
   // Gauges (snapshots, not counters) ---------------------------------------
   std::uint64_t magazine_cells = 0; // cells currently parked in magazines
@@ -116,8 +110,6 @@ struct pool_stats {
     mag_shrinks += o.mag_shrinks;
     slabs_retired += o.slabs_retired;
     slabs_reclaimed += o.slabs_reclaimed;
-    eliminations += o.eliminations;
-    elim_timeouts += o.elim_timeouts;
     magazine_cells += o.magazine_cells;
     recycle_cells += o.recycle_cells;
     limbo_cells += o.limbo_cells;
@@ -163,14 +155,12 @@ class object_pool {
   // simply pin their slab. Safety, in epoch terms (src/mem/epoch.hpp): at
   // quiescence no thread is pinned, so there is no reader the 2-epoch delay
   // would have to wait for — trim may skip limbo and free immediately. This
-  // is the degenerate case of the protocol, not a separate argument, and it
-  // is all that remains when the epoch layer is compiled out
-  // (-DSPDAG_EPOCH=OFF). Default: nothing pooled, nothing to release.
+  // is the degenerate case of the protocol, not a separate argument.
+  // Default: nothing pooled, nothing to release.
   virtual std::size_t trim() { return 0; }
 
   // Live-traffic maintenance, legal under concurrent allocate()/deallocate()
-  // traffic (requires the epoch subsystem; returns 0 when it is compiled
-  // out). Drains the global recycle list, and every slab whose cells all
+  // traffic. Drains the global recycle list, and every slab whose cells all
   // turned out to be free is RETIRED into epoch limbo rather than freed —
   // epoch::reclaim() frees it once two epoch advances prove no pinned
   // reader can still hold a stale pointer into it. Magazines are left

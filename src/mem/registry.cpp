@@ -46,41 +46,31 @@ std::size_t pool_registry::trim() {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& p : pools_) released += p->trim();
   }
-  if (mem::epoch::enabled()) {
-    // At quiescence no OTHER thread is pinned, so both advances succeed and
-    // whatever an earlier live trim parked in limbo becomes reclaimable.
-    // The caller itself may hold a loop-scoped pin (the service dispatcher
-    // does) — it holds no stale pointers here, so refreshing its own record
-    // between the advances keeps it from being the laggard that blocks the
-    // second one.
-    mem::epoch::try_advance();
-    mem::epoch::refresh();
-    mem::epoch::try_advance();
-    released += mem::epoch::reclaim();
-  }
+  // At quiescence no OTHER thread is pinned, so both advances succeed and
+  // whatever an earlier live trim parked in limbo becomes reclaimable. The
+  // caller itself may hold a loop-scoped pin (the service dispatcher does)
+  // — it holds no stale pointers here, so refreshing its own record between
+  // the advances keeps it from being the laggard that blocks the second one.
+  mem::epoch::try_advance();
+  mem::epoch::refresh();
+  mem::epoch::try_advance();
+  released += mem::epoch::reclaim();
   return released;
 }
 
 std::size_t pool_registry::trim_live(std::size_t* reclaimed) {
   std::size_t retired = 0;
-  if (mem::epoch::enabled()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& p : pools_) retired += p->trim_live();
-    }
-    // The caller holds no stale pointers at this boundary (trim_live's own
-    // pins are scoped inside the drain); republish its record so a
-    // loop-pinned caller never blocks the very advance it is driving.
-    mem::epoch::refresh();
-    mem::epoch::try_advance();
-    if (reclaimed != nullptr) {
-      *reclaimed = mem::epoch::reclaim();
-    } else {
-      mem::epoch::reclaim();
-    }
-  } else if (reclaimed != nullptr) {
-    *reclaimed = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& p : pools_) retired += p->trim_live();
   }
+  // The caller holds no stale pointers at this boundary (trim_live's own
+  // pins are scoped inside the drain); republish its record so a
+  // loop-pinned caller never blocks the very advance it is driving.
+  mem::epoch::refresh();
+  mem::epoch::try_advance();
+  const std::size_t freed = mem::epoch::reclaim();
+  if (reclaimed != nullptr) *reclaimed = freed;
   return retired;
 }
 
@@ -105,7 +95,6 @@ std::string slab_pool_registry::spec() const {
     s += std::to_string(magazine_bytes_);
   }
   if (adaptive_) s += ":adaptive";
-  if (elim_) s += ":elim";
   return s;
 }
 
@@ -115,7 +104,7 @@ std::unique_ptr<object_pool> slab_pool_registry::create(std::string name,
   return std::make_unique<slab_cache>(
       std::move(name), bytes, align,
       slab_bytes_ == 0 ? slab_cache::default_slab_bytes : slab_bytes_,
-      magazine_bytes_, adaptive_, elim_);
+      magazine_bytes_, adaptive_);
 }
 
 namespace {
@@ -159,7 +148,7 @@ std::unique_ptr<pool_registry> make_pool_registry(const std::string& spec) {
   if (s != "pool" && s.rfind("pool:", 0) != 0) {
     throw std::invalid_argument("unknown alloc spec: " + spec);
   }
-  // pool[:block[:mag]][:adaptive][:elim] — split the tail on ':'.
+  // pool[:block[:mag]][:adaptive] — split the tail on ':'.
   std::vector<std::string> fields;
   for (std::size_t at = 4; at < s.size();) {
     const std::size_t next = s.find(':', at + 1);
@@ -168,20 +157,10 @@ std::unique_ptr<pool_registry> make_pool_registry(const std::string& spec) {
                                           : next - at - 1));
     at = next;
   }
-  // Trailing flags, any order, each at most once ("pool:adaptive:adaptive"
-  // must still fail — the duplicate falls through to the numeric parse).
-  bool adaptive = false;
-  bool elim = false;
-  while (!fields.empty()) {
-    if (fields.back() == "adaptive" && !adaptive) {
-      adaptive = true;
-    } else if (fields.back() == "elim" && !elim) {
-      elim = true;
-    } else {
-      break;
-    }
-    fields.pop_back();
-  }
+  // Trailing flag, at most once ("pool:adaptive:adaptive" must still fail —
+  // the duplicate falls through to the numeric parse).
+  const bool adaptive = !fields.empty() && fields.back() == "adaptive";
+  if (adaptive) fields.pop_back();
   if (fields.size() > 2) {
     throw std::invalid_argument("alloc pool spec has too many fields: " + spec);
   }
@@ -197,8 +176,7 @@ std::unique_ptr<pool_registry> make_pool_registry(const std::string& spec) {
   if (fields.size() == 2) {
     mag_bytes = parse_bytes_field(fields[1], 256, 1ULL << 20, "magazine", spec);
   }
-  return std::make_unique<slab_pool_registry>(slab_bytes, mag_bytes, adaptive,
-                                              elim);
+  return std::make_unique<slab_pool_registry>(slab_bytes, mag_bytes, adaptive);
 }
 
 pool_registry& default_pool_registry() {

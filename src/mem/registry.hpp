@@ -15,14 +15,6 @@
 //                         "pool:adaptive") — magazines then resize their
 //                         effective capacity at runtime on refill/flush
 //                         ping-pong instead of pinning it at the derived cap
-//   "...:elim"            any pool form may append ":elim" (shortest:
-//                         "pool:elim"; combines with ":adaptive" in either
-//                         order) — an elimination array then fronts the
-//                         global recycle list so cross-worker free / refill-
-//                         miss pairs rendezvous on randomized slots instead
-//                         of serializing on the Treiber head (slab_pool.hpp)
-// Each flag may appear at most once. Malloc pools have no recycle list to
-// diffuse, so "malloc:elim" is rejected like any other unknown spec.
 // Throws std::invalid_argument on anything else.
 //
 // One registry per runtime: the runtime constructs it first and destroys it
@@ -82,7 +74,6 @@ class pool_registry {
   // advance + reclaim sweep. Returns the number of slabs retired this call;
   // `reclaimed`, when non-null, receives how many limbo slabs (from any
   // earlier retire on this process's epoch domain) were actually freed.
-  // Returns 0 with the epoch subsystem compiled out.
   std::size_t trim_live(std::size_t* reclaimed = nullptr);
 
   // The spec string this registry was built from ("malloc", "pool", ...).
@@ -112,12 +103,10 @@ class slab_pool_registry final : public pool_registry {
   // 0 for either byte knob = slab_cache's default.
   explicit slab_pool_registry(std::size_t slab_bytes = 0,
                               std::size_t magazine_bytes = 0,
-                              bool adaptive = false,
-                              bool elim = false) noexcept
+                              bool adaptive = false) noexcept
       : slab_bytes_(slab_bytes),
         magazine_bytes_(magazine_bytes),
-        adaptive_(adaptive),
-        elim_(elim) {}
+        adaptive_(adaptive) {}
   std::string spec() const override;
 
  protected:
@@ -128,7 +117,6 @@ class slab_pool_registry final : public pool_registry {
   std::size_t slab_bytes_;
   std::size_t magazine_bytes_;
   bool adaptive_;
-  bool elim_;
 };
 
 // Parses an alloc spec (see file comment).

@@ -41,24 +41,11 @@ void bump(std::atomic<std::uint64_t>& c) noexcept {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
-// Per-thread xorshift for randomized elimination-slot selection. Seeded
-// from a process-wide counter (not the clock) so two threads starting
-// together still probe different slots.
-std::uint32_t elim_rand() noexcept {
-  static std::atomic<std::uint32_t> g_seed{0x9e3779b9u};
-  static thread_local std::uint32_t state =
-      g_seed.fetch_add(0x9e3779b9u, std::memory_order_relaxed) | 1u;
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  return state;
-}
-
 }  // namespace
 
 slab_cache::slab_cache(std::string name, std::size_t object_bytes,
                        std::size_t object_align, std::size_t slab_bytes,
-                       std::size_t magazine_bytes, bool adaptive, bool elim)
+                       std::size_t magazine_bytes, bool adaptive)
     : object_pool(std::move(name), object_bytes, object_align) {
   if (object_bytes == 0) {
     throw std::invalid_argument("slab_cache: zero object size");
@@ -79,7 +66,6 @@ slab_cache::slab_cache(std::string name, std::size_t object_bytes,
                           ? mag_cap_max
                           : static_cast<std::uint32_t>(by_budget));
   adaptive_ = adaptive;
-  elim_ = elim;
   // Adaptive magazines start small (room to grow under thrash AND shrink
   // head-room already used); fixed magazines use the full derived capacity.
   initial_cap_ =
@@ -147,10 +133,9 @@ void* slab_cache::allocate() {
     if (restamp(p, slot)) bump(m.recycles);
     return p;
   }
-  // Over-subscribed thread: no magazine, straight to the shared layers —
-  // elimination rendezvous first, then the recycle list.
-  void* p = elim_ ? try_elim_take() : nullptr;
-  if (p == nullptr) {
+  // Over-subscribed thread: no magazine, straight to the recycle list.
+  void* p;
+  {
     // pop_global reads the link of a cell a racing thread may pop and a
     // racing trim_live may retire; the pin keeps that stale read mapped.
     mem::epoch::pin_guard pin;
@@ -192,10 +177,6 @@ void slab_cache::deallocate(void* p) noexcept {
   }
   g_frees_.fetch_add(1, std::memory_order_relaxed);
   if (remote) g_remote_frees_.fetch_add(1, std::memory_order_relaxed);
-  // Diffuse the cross-worker free: park on a rendezvous slot when one is
-  // open so a racing (or imminent) refill miss takes it there, off the
-  // recycle list's hot line.
-  if (elim_ && try_elim_put(p)) return;
   push_global(p, p, 1);
 }
 
@@ -233,15 +214,6 @@ void slab_cache::refill(magazine& m) {
   const std::uint32_t batch = m.cap.load(std::memory_order_relaxed) / 2;
   void** items = m.items();
   std::uint32_t cnt = 0;
-  // A refill is the consumer side of the elimination rendezvous: harvest
-  // parked cross-worker frees before contending on the recycle list.
-  if (elim_) {
-    while (cnt < batch) {
-      void* p = try_elim_take();
-      if (p == nullptr) break;
-      items[cnt++] = p;
-    }
-  }
   {
     // Pin across the pop batch (see allocate's bypass path). Workers are
     // already pinned by their loop — this only bumps their nesting depth.
@@ -269,15 +241,6 @@ void slab_cache::flush(magazine& m) noexcept {
   std::uint32_t cnt = m.count.load(std::memory_order_relaxed);
   if (cnt <= keep) return;
   void** items = m.items();
-  // Offer the top shed cell to the elimination array first: a flush is a
-  // producer-side burst, and one parked cell is enough to let the next
-  // refill miss rendezvous off the hot line. The rest still travels as one
-  // chain push.
-  if (elim_ && try_elim_put(items[cnt - 1])) {
-    --cnt;
-    m.count.store(cnt, std::memory_order_relaxed);
-    if (cnt <= keep) return;
-  }
   void* first = items[cnt - 1];
   void* last = items[keep];
   for (std::uint32_t i = cnt - 1; i > keep; --i) {
@@ -332,6 +295,9 @@ void* slab_cache::pop_global() noexcept {
 
 void slab_cache::push_global(void* first, void* last,
                              std::uint32_t n) noexcept {
+  // Count first (see global_cells_): a pop of these cells synchronizes with
+  // the publishing CAS below, so its fetch_sub is ordered after this add.
+  global_cells_.fetch_add(n, std::memory_order_relaxed);
   std::uint64_t head = global_head_.load(std::memory_order_acquire);
   for (;;) {
     link_of(last)->store(ptr_of(head), std::memory_order_relaxed);
@@ -339,74 +305,7 @@ void slab_cache::push_global(void* first, void* last,
     if (global_head_.compare_exchange_weak(head, fresh,
                                            std::memory_order_release,
                                            std::memory_order_acquire)) {
-      global_cells_.fetch_add(n, std::memory_order_relaxed);
       return;
-    }
-  }
-}
-
-// Offer one free cell to the elimination array: bounded randomized probing
-// for an empty slot, park with one CAS. No dereference of anything unowned
-// happens here — the CAS transfers full ownership of `p` into the slot.
-// Every probed slot occupied means the array is saturated (producers are
-// outrunning consumers); the caller falls through to the Treiber push and
-// the miss is tallied as a timeout.
-bool slab_cache::try_elim_put(void* p) noexcept {
-  // Pin around the slot walk (mem/epoch.hpp): not for `p` — we own it —
-  // but to mirror take's discipline so every elimination-array access runs
-  // under the same reclamation argument as pop_global's link walks.
-  mem::epoch::pin_guard pin;
-  std::uint32_t at = elim_rand();
-  for (std::size_t i = 0; i < elim_put_probes; ++i, ++at) {
-    std::atomic<void*>& slot = elim_slots_[at % elim_slot_count].cell;
-    void* cur = slot.load(std::memory_order_relaxed);
-    if (cur == nullptr &&
-        slot.compare_exchange_strong(cur, p, std::memory_order_release,
-                                     std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  elim_timeouts_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-// Claim a parked cell: walk every slot from a randomized start, take the
-// first non-empty one with a single CAS. The load-then-CAS window may race
-// another taker or a trim drain — whoever wins the CAS owns the cell, the
-// loser never dereferences it. The pin keeps the loaded pointer's storage
-// mapped across that window (src/mem/epoch.hpp), the same argument the
-// recycle list's pop makes.
-void* slab_cache::try_elim_take() noexcept {
-  mem::epoch::pin_guard pin;
-  const std::uint32_t start = elim_rand();
-  for (std::size_t i = 0; i < elim_slot_count; ++i) {
-    std::atomic<void*>& slot =
-        elim_slots_[(start + i) % elim_slot_count].cell;
-    void* cur = slot.load(std::memory_order_acquire);
-    if (cur != nullptr &&
-        slot.compare_exchange_strong(cur, nullptr, std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      eliminations_.fetch_add(1, std::memory_order_relaxed);
-      obs::emit(obs::ev_eliminate, 0, 1);
-      return cur;
-    }
-  }
-  return nullptr;
-}
-
-// Take-CAS per slot (not a plain exchange) so trim_live can run this against
-// concurrent rendezvous traffic; at quiescence it degenerates to a walk of
-// empty-or-ours slots. Drained cells do NOT count as eliminations — no
-// allocation matched them.
-void slab_cache::drain_elim(std::vector<void*>& out) noexcept {
-  if (!elim_) return;
-  for (auto& s : elim_slots_) {
-    void* cur = s.cell.load(std::memory_order_acquire);
-    if (cur != nullptr &&
-        s.cell.compare_exchange_strong(cur, nullptr,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      out.push_back(cur);
     }
   }
 }
@@ -434,13 +333,10 @@ std::size_t slab_cache::trim() {
     m->cap.store(initial_cap_, std::memory_order_relaxed);
   }
 
-  // 2. Drain the global recycle list and any cells parked on elimination
-  //    slots (at quiescence nothing is mid-rendezvous, so this empties the
-  //    array for good).
+  // 2. Drain the global recycle list.
   for (void* p = pop_global(); p != nullptr; p = pop_global()) {
     free_cells.push_back(p);
   }
-  drain_elim(free_cells);
   if (slabs_.empty()) return 0;
 
   // 3. Per-slab occupancy: a slab whose every carved cell is in the free
@@ -528,7 +424,6 @@ std::size_t slab_cache::trim() {
 // this round); a concurrent carve only appends a new slab, which the
 // cursor-slab exclusion below already spares.
 std::size_t slab_cache::trim_live() {
-  if (!mem::epoch::enabled()) return 0;
   trims_.fetch_add(1, std::memory_order_relaxed);
   // Pin for our own pop_global link walks.
   mem::epoch::pin_guard pin;
@@ -543,9 +438,6 @@ std::size_t slab_cache::trim_live() {
     if (p == nullptr) break;
     free_cells.push_back(p);
   }
-  // Parked elimination cells are free too; the take-CAS inside drain_elim
-  // makes this safe against a rendezvous racing us (we already hold a pin).
-  drain_elim(free_cells);
   if (free_cells.empty()) return 0;
 
   std::size_t retired = 0;
@@ -642,6 +534,9 @@ void slab_cache::reclaim_slab(void* self, void* slab) noexcept {
 
 pool_stats slab_cache::stats() const {
   pool_stats s;
+  // Gauge before carved: every cell on the list was carved earlier, so this
+  // order keeps recycle_cells <= carved within one snapshot.
+  s.recycle_cells = global_cells_.load(std::memory_order_relaxed);
   s.allocs = g_allocs_.load(std::memory_order_relaxed);
   s.frees = g_frees_.load(std::memory_order_relaxed);
   s.recycles = g_recycles_.load(std::memory_order_relaxed);
@@ -653,19 +548,7 @@ pool_stats slab_cache::stats() const {
   s.cells_released = cells_released_.load(std::memory_order_relaxed);
   s.slabs_retired = slabs_retired_.load(std::memory_order_relaxed);
   s.slabs_reclaimed = slabs_reclaimed_.load(std::memory_order_relaxed);
-  s.recycle_cells = global_cells_.load(std::memory_order_relaxed);
   s.limbo_cells = limbo_cells_.load(std::memory_order_relaxed);
-  s.eliminations = eliminations_.load(std::memory_order_relaxed);
-  s.elim_timeouts = elim_timeouts_.load(std::memory_order_relaxed);
-  if (elim_) {
-    // Parked cells are pool-retained exactly like recycle-list cells; fold
-    // them into the gauge so retained() covers the elimination array.
-    for (const auto& es : elim_slots_) {
-      if (es.cell.load(std::memory_order_relaxed) != nullptr) {
-        ++s.recycle_cells;
-      }
-    }
-  }
   for (const auto& slot : mags_) {
     const magazine* m = slot.load(std::memory_order_acquire);
     if (m == nullptr) continue;

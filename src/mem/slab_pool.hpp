@@ -49,24 +49,6 @@
 // Treiber pops are race-free under TSan) and a stamp word recording the slot
 // of the last allocator (0 = never allocated). The stamp gives exact
 // recycle and cross-worker-free counts for one relaxed load per operation.
-//
-// Elimination mode (`elim = true`, spec `alloc:...:elim`): a small array of
-// cache-line-spread rendezvous slots sits in FRONT of the global recycle
-// list. A cross-worker free offers its cell to a randomized slot (bounded
-// probing, falling through to the Treiber push when every probed slot is
-// taken — counted in stats().elim_timeouts); a refill miss or slotless
-// allocate probes the slots and takes a parked cell with one CAS before ever
-// touching the Treiber head. Each matched pair cancels on a private line
-// (counted once, on the taking side, in stats().eliminations) instead of
-// both hammering the list's single hot cache line — the classic
-// elimination-array remedy, here diffusing the pool's residual
-// serialization point. Slot hand-off is a single CAS transfer of full cell
-// ownership: neither side dereferences a cell it does not yet own, and a
-// parked cell is absent from the recycle list, so trim_live() can never
-// retire the slab under it. Slot walks still pin (src/mem/epoch.hpp) so the
-// load-then-CAS window on a concurrently drained slot reads mapped memory —
-// the same argument pop_global's link walk relies on. Both trims drain the
-// slots, so a parked cell never outlives quiescence.
 
 #include <atomic>
 #include <cstddef>
@@ -91,11 +73,6 @@ class slab_cache : public object_pool {
   static constexpr std::size_t default_magazine_bytes = 4096;
   static constexpr std::uint32_t mag_cap_min = 8;
   static constexpr std::uint32_t mag_cap_max = 128;
-  // Rendezvous slots in elimination mode, and how many a free probes before
-  // falling through to the Treiber push. Small on purpose: each slot is a
-  // full cache line, and the win comes from spreading, not depth.
-  static constexpr std::size_t elim_slot_count = 8;
-  static constexpr std::size_t elim_put_probes = 2;
 
   // `slab_bytes` is the upstream allocation unit (rounded up to hold at
   // least one cell); `magazine_bytes` the per-magazine storage budget
@@ -104,8 +81,7 @@ class slab_cache : public object_pool {
   slab_cache(std::string name, std::size_t object_bytes,
              std::size_t object_align,
              std::size_t slab_bytes = default_slab_bytes,
-             std::size_t magazine_bytes = 0, bool adaptive = false,
-             bool elim = false);
+             std::size_t magazine_bytes = 0, bool adaptive = false);
   ~slab_cache() override;
 
   void* allocate() override;
@@ -124,7 +100,6 @@ class slab_cache : public object_pool {
   // thrash.
   std::uint32_t magazine_initial_cap() const noexcept { return initial_cap_; }
   bool adaptive() const noexcept { return adaptive_; }
-  bool elim() const noexcept { return elim_; }
 
  private:
   // One worker's cell cache, allocated at mag_slots_ trailing item slots.
@@ -175,15 +150,6 @@ class slab_cache : public object_pool {
   void carve(void** out, std::uint32_t want, std::uint32_t& got);
   void* pop_global() noexcept;
   void push_global(void* first, void* last, std::uint32_t n) noexcept;
-  // Elimination rendezvous (elim mode only; see file comment). put parks
-  // one cell on a randomized slot (false = every probed slot taken, caller
-  // falls through to push_global); take claims a parked cell with one CAS
-  // (nullptr = nothing parked on the probed walk).
-  bool try_elim_put(void* p) noexcept;
-  void* try_elim_take() noexcept;
-  // Trim helper: empties every slot into `out` (take-CAS per slot, so it is
-  // safe against concurrent rendezvous traffic under trim_live).
-  void drain_elim(std::vector<void*>& out) noexcept;
   static bool restamp(void* p, int slot) noexcept;
   // Epoch limbo callback: frees one retired slab (mem::epoch::retire's fn).
   static void reclaim_slab(void* self, void* slab) noexcept;
@@ -196,17 +162,13 @@ class slab_cache : public object_pool {
   std::uint32_t mag_slots_; // derived storage capacity per magazine
   std::uint32_t initial_cap_;
   bool adaptive_;
-  bool elim_;
-
-  // One rendezvous slot per cache line: nullptr = empty, else a parked cell
-  // whose ownership transfers with the take-CAS.
-  struct alignas(cache_line_size) elim_slot {
-    std::atomic<void*> cell{nullptr};
-  };
-  elim_slot elim_slots_[elim_slot_count];
 
   std::atomic<std::uint64_t> global_head_{0};   // pack(cell, tag)
-  std::atomic<std::uint64_t> global_cells_{0};  // list length (gauge)
+  // List length gauge. push_global adds BEFORE its publishing CAS, so a pop
+  // (whose acquire CAS reads the push's release) always subtracts after the
+  // matching add: the gauge may briefly over-count in-flight pushes but
+  // never wraps below zero.
+  std::atomic<std::uint64_t> global_cells_{0};
   std::atomic<magazine*> mags_[mem::max_thread_slots] = {};
 
   mutable std::mutex grow_mu_;
@@ -229,10 +191,6 @@ class slab_cache : public object_pool {
   std::atomic<std::uint64_t> slabs_retired_{0};
   std::atomic<std::uint64_t> slabs_reclaimed_{0};
   std::atomic<std::uint64_t> limbo_cells_{0};
-  // Elimination tallies (zero unless elim mode): matched pairs (counted on
-  // the taking side) and offers that fell through to the Treiber list.
-  std::atomic<std::uint64_t> eliminations_{0};
-  std::atomic<std::uint64_t> elim_timeouts_{0};
 };
 
 // Typed convenience over slab_cache for callers that own their pool outright
@@ -242,10 +200,9 @@ class slab_pool final : public slab_cache {
  public:
   explicit slab_pool(std::string name = "slab",
                      std::size_t slab_bytes = default_slab_bytes,
-                     std::size_t magazine_bytes = 0, bool adaptive = false,
-                     bool elim = false)
+                     std::size_t magazine_bytes = 0, bool adaptive = false)
       : slab_cache(std::move(name), sizeof(T), alignof(T), slab_bytes,
-                   magazine_bytes, adaptive, elim) {}
+                   magazine_bytes, adaptive) {}
 
   template <typename... Args>
   T* create(Args&&... args) {

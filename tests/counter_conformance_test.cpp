@@ -198,7 +198,7 @@ TEST_P(CounterConformance, ConcurrentSpawnersAndSignalers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCounters, CounterConformance,
-                         ::testing::Values("faa", "fc", "locked", "snzi:1",
+                         ::testing::Values("faa", "locked", "snzi:1",
                                            "snzi:2", "snzi:4", "dyn:1",
                                            "dyn:4", "dyn:100"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
@@ -211,13 +211,13 @@ INSTANTIATE_TEST_SUITE_P(AllCounters, CounterConformance,
 
 TEST(CounterFactory, ParsesSpecs) {
   EXPECT_EQ(make_counter_factory("faa")->name(), "faa");
-  EXPECT_EQ(make_counter_factory("fc")->name(), "fc");
   EXPECT_EQ(make_counter_factory("snzi:3")->name(), "snzi:3");
   EXPECT_EQ(make_counter_factory("dyn:77")->name(), "dyn:77");
   EXPECT_EQ(make_counter_factory("locked")->name(), "locked");
   EXPECT_THROW(make_counter_factory("bogus"), std::invalid_argument);
-  // Combining fronts the flat cell only: the tree specs take numeric
-  // fields, so ":fc" must not parse onto them.
+  // "fc" is not a counter spec, and ":fc" must not parse onto the tree
+  // specs' numeric fields.
+  EXPECT_THROW(make_counter_factory("fc"), std::invalid_argument);
   EXPECT_THROW(make_counter_factory("snzi:fc"), std::invalid_argument);
   EXPECT_THROW(make_counter_factory("dyn:fc"), std::invalid_argument);
   EXPECT_THROW(make_counter_factory("fc:fc"), std::invalid_argument);
@@ -233,7 +233,6 @@ TEST(CounterFactory, DefaultDynThresholdFollowsPaperFormula) {
 
 TEST(CounterFactory, DisplayNamesMatchPaperLegend) {
   EXPECT_EQ(make_counter_factory("faa")->display_name(), "Fetch & Add");
-  EXPECT_EQ(make_counter_factory("fc")->display_name(), "Flat combining");
   EXPECT_EQ(make_counter_factory("snzi:4")->display_name(), "SNZI depth=4");
   EXPECT_EQ(make_counter_factory("dyn:1")->display_name(), "in-counter");
 }

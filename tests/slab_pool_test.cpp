@@ -4,8 +4,8 @@
 // TSan in CI, fixed AND adaptive magazine modes), geometry-derived magazine
 // capacities (byte budget + clamp), adaptive cap grow/shrink, quiescent
 // trim (slab release, retained() drain, double-trim no-op, engine-level
-// trim_pools), steady-state slab plateau, registry keying, and spec
-// parsing.
+// trim_pools), recycle-list gauge consistency under churn, steady-state
+// slab plateau, registry keying, and spec parsing.
 
 #include <gtest/gtest.h>
 
@@ -189,35 +189,64 @@ TEST(SlabPool, CrossThreadAllocFreeStormAdaptive) {
   EXPECT_LE(s.mag_cap_hi, pool.magazine_slots());
 }
 
-TEST(SlabPool, CrossThreadAllocFreeStormElim) {
-  // The same conservation storm with the elimination array fronting the
-  // recycle list: flushes/remote frees park cells on rendezvous slots and
-  // refills harvest them. Conservation must hold exactly AND the diffusion
-  // must actually fire; rendezvous timing is scheduler-dependent, so retry
-  // a bounded number of fresh-pool rounds before declaring it dead.
-  for (int round = 0;; ++round) {
-    slab_pool<counted> pool("storm_elim", slab_cache::default_slab_bytes,
-                            /*magazine_bytes=*/0, /*adaptive=*/false,
-                            /*elim=*/true);
-    run_cross_thread_storm(pool);
+TEST(SlabPool, RecycleGaugeNeverWrapsUnderChurn) {
+  // Minimum magazines (a 1-byte budget clamps to mag_cap_min cells) make
+  // nearly every batch trip a refill or a flush, so the churners race each
+  // other's pushes and pops on the global recycle list while a sampler runs
+  // trim_live() against them. The list-length gauge must never read above
+  // the carved population: a pop that subtracts before the matching push has
+  // added wraps the unsigned gauge to ~2^64, and trim_live(), which reserves
+  // by it, then throws std::length_error. A wrap lasts only until the racing
+  // push's add lands, so the churners read the gauge right after each
+  // allocation, when their own refill pops are nanoseconds old.
+  slab_pool<counted> pool("gauge", /*slab_bytes=*/4096, /*magazine_bytes=*/1);
+  ASSERT_EQ(pool.magazine_slots(), slab_cache::mag_cap_min);
+  constexpr int kChurners = 3;
+  constexpr int kRounds = 3000;
+  constexpr int kBatch = 24;
+
+  std::atomic<std::uint64_t> wrapped{0};  // a reading above carved, if any
+  auto check_gauge = [&] {
     const pool_stats s = pool.stats();
-    // Every flush offers its top shed cell to the array, so the rendezvous
-    // was reached even when every offer spun out.
-    EXPECT_GT(s.eliminations + s.elim_timeouts, 0u)
-        << "the storm never touched the elimination array";
-    if (s.eliminations == 0 && round < 7) continue;
-    EXPECT_GT(s.eliminations, 0u)
-        << "no free/alloc pair ever rendezvoused in 8 storms";
-    // Quiescent trim must drain parked cells along with the recycle list —
-    // stats() folds occupied slots into recycle_cells, so the gauge going
-    // to zero proves the array is empty.
-    pool.trim();
-    const pool_stats t = pool.stats();
-    EXPECT_EQ(t.live(), 0u);
-    EXPECT_EQ(t.recycle_cells, 0u)
-        << "trim must drain parked elimination slots";
-    break;
+    if (s.recycle_cells > s.carved) {
+      wrapped.store(s.recycle_cells, std::memory_order_relaxed);
+    }
+  };
+
+  std::atomic<bool> stop{false};
+  std::thread sampler([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      check_gauge();
+      EXPECT_NO_THROW(pool.trim_live());
+    }
+  });
+
+  std::vector<std::thread> churners;
+  churners.reserve(kChurners);
+  for (int c = 0; c < kChurners; ++c) {
+    churners.emplace_back([&] {
+      std::vector<counted*> batch;
+      batch.reserve(kBatch);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kBatch; ++i) {
+          batch.push_back(pool.create());
+          check_gauge();
+        }
+        for (counted* p : batch) pool.destroy(p);
+        batch.clear();
+      }
+    });
   }
+  for (auto& t : churners) t.join();
+  stop.store(true, std::memory_order_release);
+  sampler.join();
+
+  EXPECT_EQ(wrapped.load(), 0u) << "recycle gauge read above carved";
+  const pool_stats s = pool.stats();
+  EXPECT_EQ(s.live(), 0u);
+  EXPECT_LE(s.recycle_cells, s.carved);
+  EXPECT_GT(s.magazine_refills, 0u);
+  EXPECT_GT(s.magazine_flushes, 0u);
 }
 
 TEST(SlabPool, OversubscribedThreadsFallBackToGlobalList) {
@@ -496,16 +525,6 @@ TEST(PoolRegistry, SpecParsing) {
             "pool:8192:adaptive");
   EXPECT_EQ(make_pool_registry("pool:65536:512:adaptive")->spec(),
             "pool:65536:512:adaptive");
-  // The elimination marker composes with every pool form (it is a flag
-  // like "adaptive", order-independent between the two).
-  EXPECT_EQ(make_pool_registry("pool:elim")->spec(), "pool:elim");
-  EXPECT_EQ(make_pool_registry("alloc:pool:elim")->spec(), "pool:elim");
-  EXPECT_EQ(make_pool_registry("pool:8192:elim")->spec(), "pool:8192:elim");
-  EXPECT_EQ(make_pool_registry("pool:adaptive:elim")->spec(),
-            "pool:adaptive:elim");
-  EXPECT_EQ(make_pool_registry("pool:elim:adaptive")->spec(),
-            "pool:adaptive:elim")
-      << "spec() echoes flags in canonical order";
   EXPECT_THROW(make_pool_registry("bogus"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:64"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:999999999"), std::invalid_argument);
@@ -528,9 +547,15 @@ TEST(PoolRegistry, SpecParsing) {
   EXPECT_THROW(make_pool_registry("pool:65536:adaptive:adaptive"),
                std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:65536:"), std::invalid_argument);
-  // The elimination flag is a POOL feature: malloc has no recycle list to
-  // front, and like "adaptive" it may appear at most once.
+  // ":elim" is not a pool flag on any form.
   EXPECT_THROW(make_pool_registry("malloc:elim"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:elim"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("alloc:pool:elim"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:8192:elim"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:adaptive:elim"),
+               std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:elim:adaptive"),
+               std::invalid_argument);
   EXPECT_THROW(make_pool_registry("alloc:malloc:elim"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:elim:elim"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:elim:65536"), std::invalid_argument);
