@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mem/epoch.hpp"
+#include "mem/thread_slot.hpp"
 #include "obs/trace.hpp"
 #include "outset/factory.hpp"
 #include "util/rng.hpp"
@@ -48,8 +49,32 @@ void executor::enqueue_drain(outset_drain_task* t) {
   tls_drain_queue = nullptr;
 }
 
+engine_stats::engine_stats()
+    : shards_(std::make_unique<padded<shard>[]>(mem::max_thread_slots + 1)) {}
+
+engine_stats::writer engine_stats::local() noexcept {
+  const int slot = mem::thread_slot();
+  if (slot < 0) return {shards_[mem::max_thread_slots].value.c, true};
+  return {shards_[slot].value.c, false};
+}
+
+std::uint64_t engine_stats::sum(tally t,
+                                std::memory_order order) const noexcept {
+  std::uint64_t total = 0;
+  for (int i = 0; i <= mem::max_thread_slots; ++i) {
+    total += shards_[i].value.c[t].load(order);
+  }
+  return total;
+}
+
+void engine_stats::reset() noexcept {
+  for (int i = 0; i <= mem::max_thread_slots; ++i) {
+    for (auto& c : shards_[i].value.c) c.store(0, std::memory_order_relaxed);
+  }
+}
+
 void dag_engine::enqueue_drain(outset_drain_task* t) {
-  stats_.drains_enqueued.fetch_add(1, std::memory_order_relaxed);
+  stats_.local().add(engine_stats::t_drains_enqueued);
   exec_.enqueue_drain(t);
 }
 
@@ -124,36 +149,31 @@ object_pool& dag_engine::state_pool(std::size_t bytes, std::size_t align) {
   return p;
 }
 
-vertex* dag_engine::alloc_vertex() {
-  stats_.vertices_created.fetch_add(1, std::memory_order_relaxed);
-  return pool_new<vertex>(*vertex_pool_);
-}
-
-void dag_engine::recycle(vertex* v) {
+void dag_engine::recycle(vertex* v, writer w) {
   if (v->counter != nullptr) {
     factory_.release(v->counter);
     v->counter = nullptr;
   }
-  stats_.vertices_recycled.fetch_add(1, std::memory_order_relaxed);
+  w.add(engine_stats::t_vertices_recycled);
   pool_delete(*vertex_pool_, v);
 }
 
-dec_pair* dag_engine::alloc_pair(token t0, token t1, std::uint32_t owners,
-                                 bool grouped) {
+dec_pair* dag_engine::alloc_pair(writer w, token t0, token t1,
+                                 std::uint32_t owners, bool grouped) {
   dec_pair* p = pool_new<dec_pair>(*pair_pool_);
   p->reset(t0, t1, owners, grouped);
-  stats_.pairs_created.fetch_add(1, std::memory_order_relaxed);
+  w.add(engine_stats::t_pairs_created);
   return p;
 }
 
-void dag_engine::release_pair_ref(dec_pair* p) {
+void dag_engine::release_pair_ref(dec_pair* p, writer w) {
   if (p->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    stats_.pairs_recycled.fetch_add(1, std::memory_order_relaxed);
+    w.add(engine_stats::t_pairs_recycled);
     pool_delete(*pair_pool_, p);
   }
 }
 
-token dag_engine::claim_dec(vertex* u) {
+token dag_engine::claim_dec(vertex* u, writer w) {
   obs::emit(obs::ev_claim_dec);
   dec_pair* p = u->dpair;
   assert(p != nullptr && "claim_dec on a vertex without a decrement pair");
@@ -180,19 +200,26 @@ token dag_engine::claim_dec(vertex* u) {
   }
   const token t = p->t[idx];
   u->dpair = nullptr;
-  release_pair_ref(p);
+  release_pair_ref(p, w);
   return t;
 }
 
 vertex* dag_engine::new_vertex(vertex* fin, token inc, dec_pair* dpair,
                                std::uint32_t n, bool is_left) {
-  vertex* v = alloc_vertex();
-  v->counter = factory_.acquire(n);
+  return new_vertex(stats_.local(), fin, inc, dpair, n, is_left);
+}
+
+vertex* dag_engine::new_vertex(writer w, vertex* fin, token inc,
+                               dec_pair* dpair, std::uint32_t n, bool is_left) {
+  w.add(engine_stats::t_vertices_created);
+  vertex* v = pool_new<vertex>(*vertex_pool_);
   if (n > 0) {
-    // An initial surplus is one increment operation covering n edges (the
-    // obligations the new counter starts with) — see engine_stats::edges.
-    stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-    stats_.edges.fetch_add(n, std::memory_order_relaxed);
+    // Only a future fin gets a counter (see the header). An initial surplus
+    // is one increment operation covering n edges (the obligations the new
+    // counter starts with) — see engine_stats::edges.
+    v->counter = factory_.acquire(n);
+    w.add(engine_stats::t_counter_incs);
+    w.add(engine_stats::t_edges, n);
   }
   v->fin = fin;
   v->inc = inc;
@@ -206,39 +233,33 @@ vertex* dag_engine::new_vertex(vertex* fin, token inc, dec_pair* dpair,
 std::pair<vertex*, vertex*> dag_engine::make() {
   // Final vertex: one pending dependency (the root's signal); no finish of
   // its own — executing it ends the computation.
-  vertex* final_v = alloc_vertex();
-  final_v->counter = factory_.acquire(1);
-  stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-  stats_.edges.fetch_add(1, std::memory_order_relaxed);
-  final_v->fin = nullptr;
-  final_v->inc = 0;
-  final_v->dpair = nullptr;
-  final_v->dead = false;
-  final_v->shared_inc = false;
-
+  const writer w = stats_.local();
+  vertex* final_v = new_vertex(w, nullptr, 0, nullptr, 1, /*is_left=*/false);
   const token h = final_v->counter->root_token();
-  dec_pair* p = uses_tokens_ ? alloc_pair(h, h, 1) : nullptr;
-  vertex* root = new_vertex(final_v, h, p, 0, /*is_left=*/true);
+  dec_pair* p = uses_tokens_ ? alloc_pair(w, h, h, 1) : nullptr;
+  vertex* root = new_vertex(w, final_v, h, p, 0, /*is_left=*/true);
   return {root, final_v};
 }
 
 std::pair<vertex*, vertex*> dag_engine::chain(vertex* u) {
-  stats_.chains.fetch_add(1, std::memory_order_relaxed);
+  const writer sw = stats_.local();
+  sw.add(engine_stats::t_chains);
   assert(!u->dead && "chain on a dead vertex");
   // w inherits u's obligation toward u.fin and waits for v's subtree.
-  vertex* w = new_vertex(u->fin, u->inc, u->dpair, 1, u->is_left);
+  vertex* w = new_vertex(sw, u->fin, u->inc, u->dpair, 1, u->is_left);
   w->shared_inc = u->shared_inc;  // same handle token, same sharing status
   u->dpair = nullptr;  // transferred
   const token h = w->counter->root_token();
-  dec_pair* vp = uses_tokens_ ? alloc_pair(h, h, 1) : nullptr;
+  dec_pair* vp = uses_tokens_ ? alloc_pair(sw, h, h, 1) : nullptr;
   // v's handle is w's fresh counter's root — unique by construction.
-  vertex* v = new_vertex(w, h, vp, 0, /*is_left=*/true);
+  vertex* v = new_vertex(sw, w, h, vp, 0, /*is_left=*/true);
   u->dead = true;
   return {v, w};
 }
 
 std::pair<vertex*, vertex*> dag_engine::spawn(vertex* u) {
-  stats_.spawns.fetch_add(1, std::memory_order_relaxed);
+  const writer w = stats_.local();
+  w.add(engine_stats::t_spawns);
   obs::emit(obs::ev_spawn);
   assert(!u->dead && "spawn on a dead vertex");
   vertex* fin = u->fin;
@@ -246,8 +267,8 @@ std::pair<vertex*, vertex*> dag_engine::spawn(vertex* u) {
   // One increment for two new vertices: one of them stands for u's
   // continuation, whose obligation u already holds.
   const arrive_result r = fin->counter->arrive(u->inc, u->is_left);
-  stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-  stats_.edges.fetch_add(1, std::memory_order_relaxed);
+  w.add(engine_stats::t_counter_incs);
+  w.add(engine_stats::t_edges);
   dec_pair* np = nullptr;
   if (uses_tokens_) {
     // Claim AFTER the arrive completed (the paper's key invariant: the
@@ -255,17 +276,17 @@ std::pair<vertex*, vertex*> dag_engine::spawn(vertex* u) {
     // its node phase-change out from under it), and order the pair
     // [inherited-higher, fresh-lower]. alloc_pair sets owners=2: both
     // children share the pair until each has claimed its slot.
-    const token d1 = claim_dec(u);
-    np = alloc_pair(d1, r.dec, /*owners=*/2);
+    const token d1 = claim_dec(u, w);
+    np = alloc_pair(w, d1, r.dec, /*owners=*/2);
   }
-  vertex* v = new_vertex(fin, r.inc_left, np, 0, /*is_left=*/true);
-  vertex* w = new_vertex(fin, r.inc_right, np, 0, /*is_left=*/false);
+  vertex* left = new_vertex(w, fin, r.inc_left, np, 0, /*is_left=*/true);
+  vertex* right = new_vertex(w, fin, r.inc_right, np, 0, /*is_left=*/false);
   // If u's handle was shared, another sharer growing the same hint may hold
   // the very same children — the new handles are shared too.
-  v->shared_inc = u->shared_inc;
-  w->shared_inc = u->shared_inc;
+  left->shared_inc = u->shared_inc;
+  right->shared_inc = u->shared_inc;
   u->dead = true;
-  return {v, w};
+  return {left, right};
 }
 
 void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
@@ -274,12 +295,13 @@ void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
   assert(!u->dead && "spawn_batch on a dead vertex");
   vertex* fin = u->fin;
   assert(fin != nullptr && "spawn_batch requires a finish vertex");
-  stats_.spawns.fetch_add(1, std::memory_order_relaxed);
+  const writer w = stats_.local();
+  w.add(engine_stats::t_spawns);
   obs::emit(obs::ev_spawn);
   if (k == 1) {
     // Degenerate batch: hand u's obligation to the single child, no new
     // increment at all (the counter never hears about this).
-    out[0] = new_vertex(fin, u->inc, u->dpair, 0, u->is_left);
+    out[0] = new_vertex(w, fin, u->inc, u->dpair, 0, u->is_left);
     out[0]->shared_inc = u->shared_inc;
     u->dpair = nullptr;
     u->dead = true;
@@ -289,20 +311,21 @@ void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
   // obligation accounts for the k-th); this is the amortization the batch
   // API exists for — counter_ops_per_edge drops below 1.
   const arrive_result r = fin->counter->add(u->inc, u->is_left, k - 1);
-  stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-  stats_.edges.fetch_add(k - 1, std::memory_order_relaxed);
+  w.add(engine_stats::t_counter_incs);
+  w.add(engine_stats::t_edges, k - 1);
   dec_pair* np = nullptr;
   if (uses_tokens_) {
     // Same shape as spawn(): claim u's inherited (higher) handle only after
     // the batched arrive pinned the counter nonzero; r.dec carries the k-1
     // surplus units. The grouped pair makes the first claimer take t[0] and
     // every later claimer depart t[1] exactly once.
-    const token d1 = claim_dec(u);
-    np = alloc_pair(d1, r.dec, /*owners=*/k, /*grouped=*/true);
+    const token d1 = claim_dec(u, w);
+    np = alloc_pair(w, d1, r.dec, /*owners=*/k, /*grouped=*/true);
   }
   for (std::uint32_t i = 0; i < k; ++i) {
     const bool left = (i % 2) == 0;
-    vertex* v = new_vertex(fin, left ? r.inc_left : r.inc_right, np, 0, left);
+    vertex* v =
+        new_vertex(w, fin, left ? r.inc_left : r.inc_right, np, 0, left);
     // All k children share the one arrive's two child handles.
     v->shared_inc = true;
     out[i] = v;
@@ -311,24 +334,26 @@ void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
 }
 
 void dag_engine::signal(vertex* u) {
-  stats_.signals.fetch_add(1, std::memory_order_relaxed);
+  const writer w = stats_.local();
+  w.add(engine_stats::t_signals);
   vertex* fin = u->fin;
   assert(fin != nullptr && "signal requires a finish vertex");
-  const token d = uses_tokens_ ? claim_dec(u) : 0;
-  stats_.counter_decs.fetch_add(1, std::memory_order_relaxed);
+  const token d = uses_tokens_ ? claim_dec(u, w) : 0;
+  w.add(engine_stats::t_counter_decs);
   if (fin->counter->depart(d)) {
     exec_.enqueue(fin);
   }
 }
 
 void dag_engine::add(vertex* v) {
-  if (v->counter->is_zero()) {
+  if (v->counter == nullptr || v->counter->is_zero()) {
     exec_.enqueue(v);
   }
 }
 
 void dag_engine::execute(vertex* v) {
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
+  const writer w = stats_.local();
+  w.add(engine_stats::t_executions);
   vertex* prev_v = tls_current_vertex;
   dag_engine* prev_e = tls_current_engine;
   tls_current_vertex = v;
@@ -341,13 +366,13 @@ void dag_engine::execute(vertex* v) {
   // vertex is recycled. Claim the decrement handle first (it lives in v).
   const bool should_signal = !v->dead && v->fin != nullptr;
   vertex* fin = v->fin;
-  const token d = (should_signal && uses_tokens_) ? claim_dec(v) : 0;
+  const token d = (should_signal && uses_tokens_) ? claim_dec(v, w) : 0;
   const token abandoned_inc = should_signal ? v->inc : 0;
   const bool shared = v->shared_inc;
-  recycle(v);
+  recycle(v, w);
   if (should_signal) {
-    stats_.signals.fetch_add(1, std::memory_order_relaxed);
-    stats_.counter_decs.fetch_add(1, std::memory_order_relaxed);
+    w.add(engine_stats::t_signals);
+    w.add(engine_stats::t_counter_decs);
     // This vertex never spawned, so its increment handle is dead; let the
     // counter reclaim the handle's node (appendix B) before the depart that
     // may hand `fin` to another worker. Never for a SHARED handle: a sibling

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "dag/vertex.hpp"
 #include "incounter/factory.hpp"
 #include "mem/registry.hpp"
+#include "util/cache_aligned.hpp"
+#include "util/tally.hpp"
 
 namespace spdag {
 
@@ -41,19 +44,85 @@ class executor {
   virtual void enqueue_drain(outset_drain_task* t);
 };
 
-// Relaxed global tallies; cheap enough to keep on, and the integration tests
-// use them to prove conservation laws (created == recycled, one signal per
-// leaf, ...).
-struct engine_stats {
-  std::atomic<std::uint64_t> vertices_created{0};
-  std::atomic<std::uint64_t> vertices_recycled{0};
-  std::atomic<std::uint64_t> spawns{0};
-  std::atomic<std::uint64_t> chains{0};
-  std::atomic<std::uint64_t> signals{0};
-  std::atomic<std::uint64_t> pairs_created{0};
-  std::atomic<std::uint64_t> pairs_recycled{0};
-  std::atomic<std::uint64_t> executions{0};
-  std::atomic<std::uint64_t> drains_enqueued{0};
+// Engine tallies, sharded by mem::thread_slot(). Each slot's owner bumps
+// its own cache-line-padded shard with a single-writer load+store
+// (util/tally.hpp); threads past the slot cap share one overflow shard and
+// fetch_add into it. A read sums every shard. One shared word per tally
+// would cost every vertex a dozen locked RMWs on the same one or two cache
+// lines. The integration tests use the tallies to prove conservation laws
+// (created == recycled, one signal per leaf, ...).
+//
+// Each field reads like the std::atomic it replaces: .load([order]) or an
+// implicit conversion to std::uint64_t, both summing the live shards. A
+// reference to the stats taken before a run therefore reads the run's
+// effect after it. reset() zeroes every shard; call it between runs.
+class engine_stats {
+ public:
+  enum tally : int {
+    t_vertices_created,
+    t_vertices_recycled,
+    t_spawns,
+    t_chains,
+    t_signals,
+    t_pairs_created,
+    t_pairs_recycled,
+    t_executions,
+    t_drains_enqueued,
+    t_edges,
+    t_counter_incs,
+    t_counter_decs,
+    tally_count
+  };
+
+  // Live read-only view of one tally.
+  class field {
+   public:
+    std::uint64_t load(
+        std::memory_order order = std::memory_order_seq_cst) const noexcept {
+      return owner_->sum(id_, order);
+    }
+    operator std::uint64_t() const noexcept { return load(); }
+
+   private:
+    friend class engine_stats;
+    field(const engine_stats* owner, tally id) noexcept
+        : owner_(owner), id_(id) {}
+    const engine_stats* owner_;
+    tally id_;
+  };
+
+  // The calling thread's shard; the engine takes one per operation.
+  class writer {
+   public:
+    void add(tally t, std::uint64_t d = 1) const noexcept {
+      if (shared_) {
+        c_[t].fetch_add(d, std::memory_order_relaxed);
+      } else {
+        bump(c_[t], d);
+      }
+    }
+
+   private:
+    friend class engine_stats;
+    writer(std::atomic<std::uint64_t>* c, bool shared) noexcept
+        : c_(c), shared_(shared) {}
+    std::atomic<std::uint64_t>* c_;
+    bool shared_;
+  };
+
+  engine_stats();
+  engine_stats(const engine_stats&) = delete;
+  engine_stats& operator=(const engine_stats&) = delete;
+
+  field vertices_created{this, t_vertices_created};
+  field vertices_recycled{this, t_vertices_recycled};
+  field spawns{this, t_spawns};
+  field chains{this, t_chains};
+  field signals{this, t_signals};
+  field pairs_created{this, t_pairs_created};
+  field pairs_recycled{this, t_pairs_recycled};
+  field executions{this, t_executions};
+  field drains_enqueued{this, t_drains_enqueued};
   // Amortization ledger. `edges` counts dependency edges (surplus units ever
   // posted on finish counters: initial obligations, spawn arrives, and the
   // k-1 units of each batched spawn). `counter_incs` counts increment
@@ -63,17 +132,21 @@ struct engine_stats {
   // every spawn_batch(k) adds one inc op for k-1 edges, pushing the ratio
   // strictly below 1 — the `counter_ops_per_edge` metric the application
   // benches report and CI gates.
-  std::atomic<std::uint64_t> edges{0};
-  std::atomic<std::uint64_t> counter_incs{0};
-  std::atomic<std::uint64_t> counter_decs{0};
+  field edges{this, t_edges};
+  field counter_incs{this, t_counter_incs};
+  field counter_decs{this, t_counter_decs};
 
-  void reset() noexcept {
-    for (auto* p : {&vertices_created, &vertices_recycled, &spawns, &chains,
-                    &signals, &pairs_created, &pairs_recycled, &executions,
-                    &drains_enqueued, &edges, &counter_incs, &counter_decs}) {
-      p->store(0, std::memory_order_relaxed);
-    }
-  }
+  writer local() noexcept;
+  void reset() noexcept;
+
+ private:
+  std::uint64_t sum(tally t, std::memory_order order) const noexcept;
+
+  struct shard {
+    std::atomic<std::uint64_t> c[tally_count] = {};
+  };
+  // One shard per thread slot, then the overflow shard.
+  std::unique_ptr<padded<shard>[]> shards_;
 };
 
 class outset_factory;  // src/outset/factory.hpp
@@ -160,13 +233,18 @@ class dag_engine {
   void signal(vertex* u);
 
   // The generalized constructor (paper's new_vertex): fresh vertex with
-  // `n` initial dependencies and the given handles.
+  // `n` initial dependencies and the given handles. Unlike Figure 3, only a
+  // vertex with n > 0 gets an in-counter. Nothing ever increments a vertex's
+  // counter unless it is some vertex's fin, and the only fins are make()'s
+  // final vertex and chain()'s w, both created with n == 1. Every spawn,
+  // batch, future and chain child starts at n == 0 and stays there, so a
+  // counter would cost it a bank pop and push for nothing.
   vertex* new_vertex(vertex* fin, token inc, dec_pair* dpair, std::uint32_t n,
                      bool is_left);
 
-  // Hands v to the executor iff its counter is (already) zero. Mirrors the
-  // paper's Scheduler.add: vertices with pending dependencies are enqueued
-  // later by the zeroing signal.
+  // Hands v to the executor iff its counter is (already) zero or absent.
+  // Mirrors the paper's Scheduler.add: vertices with pending dependencies
+  // are enqueued later by the zeroing signal.
   void add(vertex* v);
 
   // Hands one out-set subtree-drain work unit to the executor so an idle
@@ -232,9 +310,18 @@ class dag_engine {
   std::size_t pooled_pairs() const noexcept {
     return pair_pool_->stats().cached();
   }
+  // Sums every `created` shard before any `recycled` shard. A vertex
+  // recycles only after it was created, so while no vertex is being created
+  // this never reads a false zero: a vertex live across the read is in the
+  // first sum and not in the second. (Creations racing the read can only
+  // push `recycled` past `created`, which reads as a huge nonzero value.)
+  // The service's idle trim relies on that before it unmaps slabs.
   std::size_t live_vertices() const noexcept {
-    return stats_.vertices_created.load(std::memory_order_relaxed) -
-           stats_.vertices_recycled.load(std::memory_order_relaxed);
+    const std::uint64_t created =
+        stats_.vertices_created.load(std::memory_order_acquire);
+    const std::uint64_t recycled =
+        stats_.vertices_recycled.load(std::memory_order_relaxed);
+    return created - recycled;
   }
 
   // The vertex currently executing on this thread (the paper's this_vertex).
@@ -242,12 +329,16 @@ class dag_engine {
   static dag_engine* current_engine() noexcept;
 
  private:
-  vertex* alloc_vertex();
-  void recycle(vertex* v);
-  dec_pair* alloc_pair(token t0, token t1, std::uint32_t owners,
+  // Each operation takes the calling thread's stats shard once and hands it
+  // to the helpers it calls.
+  using writer = engine_stats::writer;
+  vertex* new_vertex(writer w, vertex* fin, token inc, dec_pair* dpair,
+                     std::uint32_t n, bool is_left);
+  void recycle(vertex* v, writer w);
+  dec_pair* alloc_pair(writer w, token t0, token t1, std::uint32_t owners,
                        bool grouped = false);
-  void release_pair_ref(dec_pair* p);
-  token claim_dec(vertex* u);
+  void release_pair_ref(dec_pair* p, writer w);
+  token claim_dec(vertex* u, writer w);
 
   counter_factory& factory_;
   outset_factory* outsets_;

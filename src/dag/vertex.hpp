@@ -58,7 +58,9 @@ class vertex {
   vertex_body body;
 
   // This vertex's own dependency counter (the paper's query handle points at
-  // it). Zero surplus <=> the vertex is ready to execute.
+  // it). Zero surplus <=> the vertex is ready to execute. Null means the
+  // vertex was created with no dependencies (dag_engine::new_vertex): it is
+  // ready, and it can never be a fin.
   dep_counter* counter = nullptr;
 
   // The vertex every path from here must pass through before the enclosing

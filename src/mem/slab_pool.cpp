@@ -7,6 +7,7 @@
 
 #include "mem/epoch.hpp"
 #include "obs/trace.hpp"
+#include "util/tally.hpp"
 
 namespace spdag {
 
@@ -32,13 +33,6 @@ constexpr std::size_t round_up(std::size_t v, std::size_t a) noexcept {
 // is the magazine-less bypass path.
 std::uint64_t stamp_for(int slot) noexcept {
   return static_cast<std::uint64_t>(slot + 2);
-}
-
-// Single-writer counter increment: magazine counters are only written by
-// the slot's owner, so a plain load+store (no locked RMW) is exact, and
-// being atomic keeps cross-thread stats() reads clean.
-void bump(std::atomic<std::uint64_t>& c) noexcept {
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 }  // namespace

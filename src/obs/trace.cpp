@@ -6,6 +6,7 @@
 
 #include "mem/thread_slot.hpp"
 #include "obs/trace_export.hpp"
+#include "util/tally.hpp"
 
 namespace spdag::obs {
 
@@ -35,16 +36,6 @@ std::int64_t steady_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Single-writer relaxed increment (the slab-pool magazine idiom): exact
-// because only the owning thread writes, atomic so cross-thread summary()
-// reads stay clean.
-void bump(std::atomic<std::uint64_t>& c) noexcept {
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-}
-void add_to(std::atomic<std::uint64_t>& c, std::uint64_t d) noexcept {
-  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
 }
 
 // One thread slot's accumulators + ring. Created lazily on first emit,
@@ -163,7 +154,7 @@ void span_end_slow(int span) noexcept {
   if (t->span_depth[span] == 0) return;  // begin lost to a reconfigure
   if (--t->span_depth[span] != 0) return;
   const std::uint64_t ts = now_ticks();
-  add_to(t->span_ticks[span], ts - t->span_start[span]);
+  bump(t->span_ticks[span], ts - t->span_start[span]);
   bump(t->span_calls[span]);
   emit_raw(t, span_end_ev[span], 0, 0, ts);
 }

@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "outset/outset.hpp"
 #include "util/backoff.hpp"
+#include "util/tally.hpp"
 #include "util/topology.hpp"
 
 namespace spdag {
@@ -116,9 +117,9 @@ void private_deque_scheduler::run_drain(std::size_t id, outset_drain_task* t,
   }
   obs::gauge_add(obs::g_drains_pending, -1);
   worker& me = workers_[id]->value;
-  me.drains_executed.fetch_add(1, std::memory_order_relaxed);
+  bump(me.drains_executed);
   if (migrated) {
-    me.drains_stolen.fetch_add(1, std::memory_order_relaxed);
+    bump(me.drains_stolen);
     obs::emit(obs::ev_drain_steal);
   }
   // Decrement AFTER run(), and after any re-offloads the task made bumped
@@ -132,6 +133,13 @@ void private_deque_scheduler::unpark_some() {
     std::lock_guard<std::mutex> lock(park_mu_);
     park_cv_.notify_one();
   }
+}
+
+bool private_deque_scheduler::any_busy() const {
+  for (const auto& w : workers_) {
+    if (w->value.busy.load(std::memory_order_acquire)) return true;
+  }
+  return false;
 }
 
 void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
@@ -151,7 +159,7 @@ void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
     vertex* v = me.tasks.front();
     me.tasks.pop_front();
     other.transfer.value.store(v, std::memory_order_release);
-    me.requests_served.fetch_add(1, std::memory_order_relaxed);
+    bump(me.requests_served);
   } else if (!me.drains.empty()) {
     // No vertex to spare, but broadcast bookkeeping is queued: hand the
     // OLDEST drain (nearest the out-set root, the widest subtree) to the
@@ -161,12 +169,12 @@ void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
     me.drains.pop_front();
     other.drain_transfer.value.store(t, std::memory_order_release);
     other.transfer.value.store(drain_given(), std::memory_order_release);
-    me.drains_handed_off.fetch_add(1, std::memory_order_relaxed);
+    bump(me.drains_handed_off);
     obs::emit(obs::ev_drain_handoff, static_cast<std::uint16_t>(thief));
-    me.requests_served.fetch_add(1, std::memory_order_relaxed);
+    bump(me.requests_served);
   } else {
     other.transfer.value.store(declined(), std::memory_order_release);
-    me.requests_declined.fetch_add(1, std::memory_order_relaxed);
+    bump(me.requests_declined);
   }
   me.request.value.store(no_request, std::memory_order_release);
 }
@@ -223,14 +231,15 @@ void private_deque_scheduler::worker_main(std::size_t id) {
       dag_engine* eng = engine_.load(std::memory_order_acquire);
       assert(eng != nullptr && "work found with no engine attached");
       const bool is_final = (v == stop_vertex_.load(std::memory_order_relaxed));
-      active_.fetch_add(1, std::memory_order_acq_rel);
+      // Same busy-flag protocol as the ws scheduler (scheduler.cpp).
+      me.busy.store(true, std::memory_order_relaxed);
       obs::gauge_add(obs::g_runnable, -1);
       {
         obs::span_guard sg(obs::sp_work);
         eng->execute(v);
       }
-      active_.fetch_sub(1, std::memory_order_acq_rel);
-      me.executions.fetch_add(1, std::memory_order_relaxed);
+      bump(me.executions);
+      me.busy.store(false, std::memory_order_release);
       if (is_final) {
         std::lock_guard<std::mutex> lock(done_mu_);
         done_.store(true, std::memory_order_release);
@@ -276,7 +285,7 @@ void private_deque_scheduler::worker_main(std::size_t id) {
       }
       if (v != nullptr) {
         me.tasks.push_back(v);
-        me.steals.fetch_add(1, std::memory_order_relaxed);
+        bump(me.steals);
         obs::emit(obs::ev_steal_success, static_cast<std::uint16_t>(victim));
         got = true;
       } else if (drain != nullptr) {
@@ -285,7 +294,7 @@ void private_deque_scheduler::worker_main(std::size_t id) {
         run_drain(id, drain, /*migrated=*/true);
         got = true;
       } else {
-        me.failed_steals.fetch_add(1, std::memory_order_relaxed);
+        bump(me.failed_steals);
         communicate(id, /*can_give=*/false);
       }
       if (shutdown_.load(std::memory_order_acquire)) return;
@@ -301,7 +310,7 @@ void private_deque_scheduler::worker_main(std::size_t id) {
     {
       std::unique_lock<std::mutex> lock(park_mu_);
       if (!shutdown_.load(std::memory_order_acquire)) {
-        me.parks.fetch_add(1, std::memory_order_relaxed);
+        bump(me.parks);
         parked_.fetch_add(1, std::memory_order_acq_rel);
         {
           obs::span_guard sg(obs::sp_idle);
@@ -339,8 +348,7 @@ void private_deque_scheduler::end_service() {
 bool private_deque_scheduler::service_idle() const {
   return injected_.size.load(std::memory_order_acquire) == 0 &&
          injected_drains_.size.load(std::memory_order_acquire) == 0 &&
-         drains_pending_.load(std::memory_order_acquire) == 0 &&
-         active_.load(std::memory_order_acquire) == 0;
+         drains_pending_.load(std::memory_order_acquire) == 0 && !any_busy();
 }
 
 void private_deque_scheduler::run(dag_engine& engine, vertex* root,
@@ -367,8 +375,7 @@ void private_deque_scheduler::run(dag_engine& engine, vertex* root,
   // Spin out both so returning from run() implies every vertex is recycled
   // and every drain delivered.
   backoff b;
-  while (active_.load(std::memory_order_acquire) != 0 ||
-         drains_pending_.load(std::memory_order_acquire) != 0) {
+  while (any_busy() || drains_pending_.load(std::memory_order_acquire) != 0) {
     b.pause();
   }
   stop_vertex_.store(nullptr, std::memory_order_release);

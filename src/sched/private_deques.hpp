@@ -94,9 +94,10 @@ class private_deque_scheduler final : public scheduler_base {
   static vertex* declined() { return reinterpret_cast<vertex*>(std::uintptr_t{2}); }
   static vertex* drain_given() { return reinterpret_cast<vertex*>(std::uintptr_t{3}); }
 
-  // Stat counters are relaxed atomics: worker-local (uncontended) on the
-  // hot path, but totals()/reset_totals() may run while idle workers are
-  // still bumping their park counts.
+  // `busy` and the tallies are written only by the owning worker, on a line
+  // of their own: `busy` is set while the worker executes a vertex (run()
+  // and service_idle() scan the flags), and the tallies are single-writer
+  // (util/tally.hpp) that totals() sums from any thread.
   struct worker {
     std::deque<vertex*> tasks;                // private: owner-only
     std::deque<outset_drain_task*> drains;    // private: owner-only
@@ -105,6 +106,7 @@ class private_deque_scheduler final : public scheduler_base {
     // Companion to the transfer cell: the victim parks the handed-off drain
     // here before publishing drain_given() in `transfer`.
     cache_aligned<std::atomic<outset_drain_task*>> drain_transfer{nullptr};
+    alignas(cache_line_size) std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> executions{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steals{0};
@@ -154,6 +156,8 @@ class private_deque_scheduler final : public scheduler_base {
   // `migrated` = it was enqueued by a different worker (or externally).
   void run_drain(std::size_t id, outset_drain_task* t, bool migrated);
   void unpark_some();
+  // True while any worker is executing a vertex.
+  bool any_busy() const;
 
   private_deque_config cfg_;
   std::vector<std::unique_ptr<padded<worker>>> workers_;
@@ -174,7 +178,6 @@ class private_deque_scheduler final : public scheduler_base {
   std::atomic<bool> service_{false};
   std::atomic<dag_engine*> engine_{nullptr};
   std::atomic<vertex*> stop_vertex_{nullptr};
-  std::atomic<int> active_{0};
 
   std::mutex done_mu_;
   std::condition_variable done_cv_;

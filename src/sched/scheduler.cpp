@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "outset/outset.hpp"
 #include "util/backoff.hpp"
+#include "util/tally.hpp"
 #include "util/topology.hpp"
 
 namespace spdag {
@@ -128,7 +129,7 @@ vertex* scheduler::find_work(std::size_t id, xoshiro256& rng) {
       if (victim == id) continue;
       obs::emit(obs::ev_steal_attempt, static_cast<std::uint16_t>(victim));
       if (vertex* v = workers_[victim]->value.deque.steal_top()) {
-        me.steals.fetch_add(1, std::memory_order_relaxed);
+        bump(me.steals);
         obs::emit(obs::ev_steal_success, static_cast<std::uint16_t>(victim));
         return v;
       }
@@ -136,8 +137,15 @@ vertex* scheduler::find_work(std::size_t id, xoshiro256& rng) {
     if (vertex* v = pop_injected()) return v;
     cpu_relax();
   }
-  me.failed_steal_sweeps.fetch_add(1, std::memory_order_relaxed);
+  bump(me.failed_steal_sweeps);
   return nullptr;
+}
+
+bool scheduler::any_busy() const {
+  for (const auto& w : workers_) {
+    if (w->value.busy.load(std::memory_order_acquire)) return true;
+  }
+  return false;
 }
 
 void scheduler::worker_main(std::size_t id) {
@@ -145,6 +153,7 @@ void scheduler::worker_main(std::size_t id) {
   tls_scheduler = this;
   if (cfg_.pin_threads) pin_current_thread(id);
   xoshiro256 rng(mix64(0x9e3779b97f4a7c15ULL ^ (id + 1)));
+  worker& me = workers_[id]->value;
 
   // Workers stay epoch-pinned for their whole loop: every stale read a
   // worker can perform — SNZI pair reuse inside execute(), out-set node
@@ -164,14 +173,18 @@ void scheduler::worker_main(std::size_t id) {
       dag_engine* eng = engine_.load(std::memory_order_acquire);
       assert(eng != nullptr && "work found with no engine attached");
       const bool is_final = (v == stop_vertex_.load(std::memory_order_relaxed));
-      active_.fetch_add(1, std::memory_order_acq_rel);
+      // The flag goes up before execute() publishes anything (children,
+      // signals), so whoever learns of that work later also sees the flag.
+      // The release store lowers it only after the vertex is recycled and
+      // counted, so a reader that sees it down sees both.
+      me.busy.store(true, std::memory_order_relaxed);
       obs::gauge_add(obs::g_runnable, -1);
       {
         obs::span_guard sg(obs::sp_work);
         eng->execute(v);
       }
-      active_.fetch_sub(1, std::memory_order_acq_rel);
-      workers_[id]->value.executions.fetch_add(1, std::memory_order_relaxed);
+      bump(me.executions);
+      me.busy.store(false, std::memory_order_release);
       if (is_final) {
         std::lock_guard<std::mutex> lock(done_mu_);
         done_.store(true, std::memory_order_release);
@@ -196,7 +209,7 @@ void scheduler::worker_main(std::size_t id) {
     {
       std::unique_lock<std::mutex> lock(park_mu_);
       if (!shutdown_.load(std::memory_order_acquire)) {
-        workers_[id]->value.parks.fetch_add(1, std::memory_order_relaxed);
+        bump(me.parks);
         parked_.fetch_add(1, std::memory_order_acq_rel);
         {
           obs::span_guard sg(obs::sp_idle);
@@ -240,8 +253,7 @@ void scheduler::end_service() {
 bool scheduler::service_idle() const {
   return injected_size_.load(std::memory_order_acquire) == 0 &&
          drain_size_.load(std::memory_order_acquire) == 0 &&
-         drains_pending_.load(std::memory_order_acquire) == 0 &&
-         active_.load(std::memory_order_acquire) == 0;
+         drains_pending_.load(std::memory_order_acquire) == 0 && !any_busy();
 }
 
 void scheduler::run(dag_engine& engine, vertex* root, vertex* final_v) {
@@ -267,8 +279,7 @@ void scheduler::run(dag_engine& engine, vertex* root, vertex* final_v) {
   // holding pinned future states. Spin out both so that returning from
   // run() implies every vertex is recycled and every drain delivered.
   backoff b;
-  while (active_.load(std::memory_order_acquire) != 0 ||
-         drains_pending_.load(std::memory_order_acquire) != 0) {
+  while (any_busy() || drains_pending_.load(std::memory_order_acquire) != 0) {
     b.pause();
   }
   stop_vertex_.store(nullptr, std::memory_order_release);

@@ -74,11 +74,13 @@ class scheduler final : public scheduler_base {
   static int current_worker_id() noexcept;
 
  private:
-  // Per-worker counters are relaxed atomics: they are worker-local on the
-  // hot path (uncontended), but totals()/reset_totals() may run while idle
-  // workers are still bumping their park counts.
+  // Everything after the deque is written only by the owning worker, on a
+  // line of its own: `busy` is set while the worker executes a vertex (run()
+  // and service_idle() scan the flags), and the tallies are single-writer
+  // (util/tally.hpp) that totals() sums from any thread.
   struct worker {
     chase_lev_deque<vertex> deque;
+    alignas(cache_line_size) std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> executions{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steal_sweeps{0};
@@ -88,6 +90,8 @@ class scheduler final : public scheduler_base {
   void worker_main(std::size_t id);
   vertex* find_work(std::size_t id, xoshiro256& rng);
   vertex* pop_injected();
+  // True while any worker is executing a vertex.
+  bool any_busy() const;
   // Runs one queued drain task if any; returns whether it did.
   bool run_one_drain(int id);
   void unpark_some();
@@ -127,9 +131,6 @@ class scheduler final : public scheduler_base {
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::atomic<bool> done_{true};
-  // Workers executing a vertex right now; run() returns only at zero, so a
-  // completed run implies full quiescence (every vertex recycled).
-  std::atomic<int> active_{0};
 };
 
 }  // namespace spdag

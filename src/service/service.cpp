@@ -318,8 +318,8 @@ void dag_service::try_idle_trim() {
   // trim — moves the retained count.
   if (rt_.pools().totals().retained() == trimmed_retained_) return;
   // inflight == 0 means every completion body ran, but the LAST worker may
-  // still be in execute()'s epilogue (final vertex not yet recycled, active_
-  // not yet decremented). That window is short and shrinking — no new work
+  // still be in execute()'s epilogue (final vertex not yet recycled, busy
+  // flag still up). That window is short and shrinking — no new work
   // can enter while we hold the gate — so wait it out boundedly and give up
   // harmlessly if an assumption breaks.
   dag_engine& eng = rt_.engine();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dag/engine.hpp"
+#include "dag/parallel_for.hpp"
 #include "dag/serial_executor.hpp"
 #include "incounter/factory.hpp"
 
@@ -177,6 +178,60 @@ TEST_P(DagEngineTest, CounterObjectsAreRecycledThroughFactory) {
   }
   // Each run needs at most 8 live counters; pooling must prevent 5x growth.
   EXPECT_LE(factory_->created(), 8u);
+}
+
+TEST_P(DagEngineTest, OnlyFinishVerticesOwnCounters) {
+  // A 1024-leaf parallel_for under a finish block, then a nested finish_then
+  // chain. The FIFO executor keeps the loop's whole frontier live at once,
+  // so a counter per vertex would construct about a thousand of them. Only
+  // finish vertices (make()'s final and each chain's w) may own one.
+  std::atomic<int> leaves{0};
+  std::atomic<int> tail{0};
+  auto [root, final_v] = engine_.make();
+  root->body = [&leaves, &tail] {
+    finish_then(
+        [&leaves] {
+          parallel_for(0, 1024, 1, [&leaves](std::size_t) { leaves++; });
+        },
+        [&tail] {
+          finish_then([&tail] { finish_then([&tail] { tail++; },
+                                            [&tail] { tail++; }); },
+                      [&tail] { tail++; });
+        });
+  };
+  engine_.add(root);
+  engine_.add(final_v);
+  exec_.run_all(engine_);
+  EXPECT_EQ(leaves.load(), 1024);
+  EXPECT_EQ(tail.load(), 3);
+
+  const auto& st = engine_.stats();
+  EXPECT_EQ(st.chains.load(), 3u);
+  EXPECT_GT(st.vertices_created.load(), 2048u);
+  const std::uint64_t finish_vertices = 1 + st.chains;
+  EXPECT_LE(factory_->created(), finish_vertices);
+  // Unbatched, every edge costs one increment and one decrement:
+  // counter_ops_per_edge stays exactly 1.0.
+  EXPECT_EQ(st.counter_incs + st.counter_decs, 2 * st.edges);
+  EXPECT_EQ(engine_.live_vertices(), 0u);
+}
+
+TEST_P(DagEngineTest, StatsResetZeroesEveryTally) {
+  auto [root, final_v] = engine_.make();
+  root->body = [] { fork2([] {}, [] {}); };
+  engine_.add(root);
+  engine_.add(final_v);
+  exec_.run_all(engine_);
+  engine_stats& st = engine_.stats();
+  ASSERT_GT(st.executions.load(), 0u);
+  st.reset();
+  for (const engine_stats::field* f :
+       {&st.vertices_created, &st.vertices_recycled, &st.spawns, &st.chains,
+        &st.signals, &st.pairs_created, &st.pairs_recycled, &st.executions,
+        &st.drains_enqueued, &st.edges, &st.counter_incs,
+        &st.counter_decs}) {
+    EXPECT_EQ(f->load(), 0u);
+  }
 }
 
 TEST_P(DagEngineTest, DeepChainDoesNotRecurse) {

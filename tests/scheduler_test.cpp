@@ -181,6 +181,46 @@ TEST(Scheduler, ManyConsecutiveRunsDoNotLeakVertices) {
   }
 }
 
+// --- engine tallies: per-slot shards read back as one live view -----------
+
+class ShardedEngineStats : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ShardedEngineStats, LiveViewConservesAcrossFourWorkers) {
+  runtime_config cfg{4, "dyn"};
+  cfg.sched = GetParam();
+  runtime rt(cfg);
+  // Bound once, before any run: every later read must see the runs' effect,
+  // which four workers and this thread wrote into separate shards.
+  const auto& st = rt.engine().stats();
+  constexpr std::uint64_t n = 1 << 12;
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::uint64_t spawns0 = st.spawns;
+    harness::fanin(rt, n);
+    EXPECT_EQ(st.spawns - spawns0, n - 1) << "rep " << rep;
+    EXPECT_EQ(st.vertices_created.load(), st.vertices_recycled.load());
+    EXPECT_EQ(st.vertices_recycled.load(), st.executions.load());
+  }
+  EXPECT_EQ(rt.engine().live_vertices(), 0u);
+  // Unbatched fanin: counter_ops_per_edge is exactly 1.0.
+  EXPECT_EQ(st.counter_incs + st.counter_decs, 2 * st.edges);
+  // The workers' own single-writer tallies agree with the engine's.
+  EXPECT_EQ(rt.sched().totals().executions, st.executions.load());
+
+  rt.engine().stats().reset();
+  EXPECT_EQ(st.vertices_created.load(), 0u);
+  EXPECT_EQ(st.vertices_recycled.load(), 0u);
+  EXPECT_EQ(st.executions.load(), 0u);
+  EXPECT_EQ(st.spawns.load(), 0u);
+  EXPECT_EQ(st.edges.load(), 0u);
+  EXPECT_EQ(rt.engine().live_vertices(), 0u);
+  harness::fanin(rt, n);
+  EXPECT_EQ(st.spawns.load(), n - 1);
+  EXPECT_EQ(st.vertices_created.load(), st.executions.load());
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, ShardedEngineStats,
+                         ::testing::Values("ws", "private"));
+
 TEST(Scheduler, CurrentWorkerIdIsMinusOneOutside) {
   EXPECT_EQ(scheduler::current_worker_id(), -1);
 }

@@ -3,7 +3,8 @@
 // a small admission cap forcing constant blocking, and a thread-slot
 // exhaustion run where more concurrently-live client threads than
 // mem::max_thread_slots hammer submit() — over-cap threads must fall back
-// to uncached allocation gracefully (src/mem/thread_slot.hpp), never fail.
+// to uncached allocation gracefully (src/mem/thread_slot.hpp), never fail,
+// and their engine tallies land in the shared overflow shard.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "dag/engine.hpp"
+#include "incounter/factory.hpp"
 #include "mem/thread_slot.hpp"
 #include "service/service.hpp"
 
@@ -20,6 +22,14 @@ namespace spdag {
 namespace {
 
 class ServiceStressTest : public ::testing::TestWithParam<std::string> {};
+
+// Runs each ready vertex on the enqueuing thread. Holds no state, so any
+// number of threads can drive one engine through it at once.
+class inline_executor final : public executor {
+ public:
+  void enqueue(vertex* v) override { engine->execute(v); }
+  dag_engine* engine = nullptr;
+};
 
 TEST_P(ServiceStressTest, CompletionStormUnderTightAdmission) {
   constexpr int kClients = 8;
@@ -88,9 +98,16 @@ TEST_P(ServiceStressTest, MoreClientThreadsThanThreadSlots) {
   cfg.rt.workers = 4;
   cfg.rt.sched = GetParam();
   dag_service svc(cfg);
+  // Over-cap clients also run small dags on this engine: their slot is -1,
+  // so every tally they write goes to the shared overflow shard.
+  auto factory = make_counter_factory("dyn");
+  inline_executor inline_exec;
+  dag_engine overflow_eng(*factory, inline_exec);
+  inline_exec.engine = &overflow_eng;
 
   std::atomic<std::uint64_t> ran{0};
   std::atomic<std::uint64_t> ok_waits{0};
+  std::atomic<std::uint64_t> overflow_dags{0};
   std::atomic<int> finished{0};
   std::atomic<bool> all_done{false};
   std::vector<std::thread> clients;
@@ -102,6 +119,14 @@ TEST_P(ServiceStressTest, MoreClientThreadsThanThreadSlots) {
             [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
         ASSERT_TRUE(t.valid());
         if (t.wait()) ok_waits.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (mem::thread_slot() < 0) {
+        for (int i = 0; i < kPerClient; ++i) {
+          auto [root, final_v] = overflow_eng.make();
+          root->body = [] { fork2([] {}, [] {}); };
+          overflow_eng.add(root);  // runs the whole dag, final included
+        }
+        overflow_dags.fetch_add(kPerClient, std::memory_order_relaxed);
       }
       finished.fetch_add(1, std::memory_order_acq_rel);
       // Park (still alive, slot still claimed) until the whole cohort is
@@ -126,6 +151,21 @@ TEST_P(ServiceStressTest, MoreClientThreadsThanThreadSlots) {
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.rejected, 0u);
   EXPECT_EQ(s.inflight, 0u);
+
+  svc.shutdown();
+  const auto& es = svc.rt().engine().stats();
+  EXPECT_EQ(es.vertices_created.load(), es.vertices_recycled.load());
+  EXPECT_EQ(svc.rt().engine().live_vertices(), 0u);
+
+  // Each overflow dag is make() + one fork2: four vertices, one spawn.
+  const std::uint64_t dags = overflow_dags.load();
+  EXPECT_GT(dags, 0u) << "no client thread ran past the slot cap";
+  const auto& os = overflow_eng.stats();
+  EXPECT_EQ(os.spawns.load(), dags);
+  EXPECT_EQ(os.vertices_created.load(), 4 * dags);
+  EXPECT_EQ(os.vertices_recycled.load(), 4 * dags);
+  EXPECT_EQ(os.executions.load(), 4 * dags);
+  EXPECT_EQ(os.counter_incs + os.counter_decs, 2 * os.edges);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, ServiceStressTest,
