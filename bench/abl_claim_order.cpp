@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                       "pair_allocs"});
   for (const policy& p : policies) {
     snzi::tree_stats stats;
-    runtime_config cfg{procs, p.counter, false, &stats};
+    runtime_config cfg{procs, p.counter, &stats};
     cfg.engine_options.randomize_claim_order = p.randomize;
     runtime rt(cfg);
     harness::fanin(rt, n);  // warm-up

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
                       "pair_reuses"});
   for (std::uint64_t t : thresholds) {
     snzi::tree_stats stats;
-    runtime rt(runtime_config{procs, "dyn:" + std::to_string(t), false, &stats});
+    runtime rt(runtime_config{procs, "dyn:" + std::to_string(t), &stats});
     harness::fanin(rt, n);
 
     const double increments =

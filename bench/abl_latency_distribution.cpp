@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   for (const auto& algo : algos) {
     latency_histogram arrives, departs;
     timed_factory factory(make_counter_factory(algo), &arrives, &departs);
-    auto sched = make_scheduler("ws", procs, false);
+    auto sched = make_scheduler("ws", procs);
     dag_engine engine(factory, *sched);
 
     auto once = [&] {

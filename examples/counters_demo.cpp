@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   }
 
   snzi::tree_stats stats;
-  runtime rt(runtime_config{procs, algo, false, &stats});
+  runtime rt(runtime_config{procs, algo, &stats});
 
   run_stats times;
   for (int r = 0; r < runs; ++r) {

@@ -16,8 +16,7 @@
 namespace spdag::harness {
 
 bench_result run_config(const bench_config& cfg) {
-  runtime_config rt_cfg{cfg.workers, cfg.algo, /*pin_threads=*/false,
-                        /*snzi_stats=*/nullptr};
+  runtime_config rt_cfg{cfg.workers, cfg.algo, /*snzi_stats=*/nullptr};
   rt_cfg.alloc = cfg.alloc;
   runtime rt(rt_cfg);
   auto once = [&] {

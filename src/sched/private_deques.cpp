@@ -7,35 +7,20 @@
 #include "outset/outset.hpp"
 #include "util/backoff.hpp"
 #include "util/tally.hpp"
-#include "util/topology.hpp"
 
 namespace spdag {
 
-namespace {
-thread_local int tls_pd_worker_id = -1;
-thread_local private_deque_scheduler* tls_pd_scheduler = nullptr;
-}  // namespace
-
-private_deque_scheduler::private_deque_scheduler(private_deque_config cfg)
-    : cfg_(cfg) {
-  const std::size_t n = cfg_.workers == 0 ? hardware_core_count() : cfg_.workers;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+private_deque_scheduler::private_deque_scheduler(std::size_t workers)
+    : scheduler_base(workers) {
+  workers_.reserve(worker_count());
+  for (std::size_t i = 0; i < worker_count(); ++i) {
     workers_.push_back(std::make_unique<padded<worker>>());
   }
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
-  }
+  start();
 }
 
 private_deque_scheduler::~private_deque_scheduler() {
-  shutdown_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
-  }
-  for (auto& t : threads_) t.join();
+  stop();
   // Structured teardown leaves nothing here: run() holds out for drain
   // quiescence, so queued drains at destruction can only come from direct
   // executor use (tests, unstructured embeddings). A drain task must run
@@ -67,9 +52,10 @@ private_deque_scheduler::~private_deque_scheduler() {
 }
 
 void private_deque_scheduler::enqueue(vertex* v) {
-  if (tls_pd_scheduler == this && tls_pd_worker_id >= 0) {
+  const int id = local_worker();
+  if (id >= 0) {
     // Owner-only push; no synchronization by design.
-    workers_[static_cast<std::size_t>(tls_pd_worker_id)]->value.tasks.push_back(v);
+    workers_[static_cast<std::size_t>(id)]->value.tasks.push_back(v);
   } else {
     injected_.push(v);
   }
@@ -78,16 +64,15 @@ void private_deque_scheduler::enqueue(vertex* v) {
 }
 
 void private_deque_scheduler::enqueue_drain(outset_drain_task* t) {
-  if (workers_.size() > 1) {
-    if (tls_pd_scheduler == this && tls_pd_worker_id >= 0) {
+  if (worker_count() > 1) {
+    const int id = local_worker();
+    if (id >= 0) {
       // Worker path: queue privately. communicate() answers steal requests
       // from it, and the idle path below runs what nobody asked for.
-      worker& me = workers_[static_cast<std::size_t>(tls_pd_worker_id)]->value;
-      if (me.drains.size() < cfg_.drain_queue_cap) {
-        drains_pending_.fetch_add(1, std::memory_order_acq_rel);
+      worker& me = workers_[static_cast<std::size_t>(id)]->value;
+      if (me.drains.size() < drain_queue_cap) {
+        drain_enqueued();
         me.drains.push_back(t);
-        obs::gauge_add(obs::g_drains_pending, 1);
-        obs::emit(obs::ev_drain_enqueue);
         unpark_some();
         return;
       }
@@ -96,10 +81,8 @@ void private_deque_scheduler::enqueue_drain(outset_drain_task* t) {
     } else {
       // External thread: nothing private to queue on; inject for an idle
       // worker to adopt (the dual of the vertex injection queue).
-      drains_pending_.fetch_add(1, std::memory_order_acq_rel);
+      drain_enqueued();
       injected_drains_.push(t);
-      obs::gauge_add(obs::g_drains_pending, 1);
-      obs::emit(obs::ev_drain_enqueue);
       unpark_some();
       return;
     }
@@ -107,39 +90,6 @@ void private_deque_scheduler::enqueue_drain(outset_drain_task* t) {
   // Single worker (no thief to hand to) or saturated queue: run inline
   // through the flattening trampoline, same as the serial executor.
   executor::enqueue_drain(t);
-}
-
-void private_deque_scheduler::run_drain(std::size_t id, outset_drain_task* t,
-                                        bool migrated) {
-  {
-    obs::span_guard sg(obs::sp_drain);
-    t->run();
-  }
-  obs::gauge_add(obs::g_drains_pending, -1);
-  worker& me = workers_[id]->value;
-  bump(me.drains_executed);
-  if (migrated) {
-    bump(me.drains_stolen);
-    obs::emit(obs::ev_drain_steal);
-  }
-  // Decrement AFTER run(), and after any re-offloads the task made bumped
-  // the count: pending==0 must mean fully delivered, not merely dequeued
-  // (run() spins on it for quiescence).
-  drains_pending_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void private_deque_scheduler::unpark_some() {
-  if (parked_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_one();
-  }
-}
-
-bool private_deque_scheduler::any_busy() const {
-  for (const auto& w : workers_) {
-    if (w->value.busy.load(std::memory_order_acquire)) return true;
-  }
-  return false;
 }
 
 void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
@@ -159,7 +109,6 @@ void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
     vertex* v = me.tasks.front();
     me.tasks.pop_front();
     other.transfer.value.store(v, std::memory_order_release);
-    bump(me.requests_served);
   } else if (!me.drains.empty()) {
     // No vertex to spare, but broadcast bookkeeping is queued: hand the
     // OLDEST drain (nearest the out-set root, the widest subtree) to the
@@ -169,12 +118,10 @@ void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
     me.drains.pop_front();
     other.drain_transfer.value.store(t, std::memory_order_release);
     other.transfer.value.store(drain_given(), std::memory_order_release);
-    bump(me.drains_handed_off);
+    bump(slot(id).drains_handed_off);
     obs::emit(obs::ev_drain_handoff, static_cast<std::uint16_t>(thief));
-    bump(me.requests_served);
   } else {
     other.transfer.value.store(declined(), std::memory_order_release);
-    bump(me.requests_declined);
   }
   me.request.value.store(no_request, std::memory_order_release);
 }
@@ -203,24 +150,17 @@ vertex* private_deque_scheduler::try_steal(std::size_t id, std::size_t victim,
       return v == declined() ? nullptr : v;
     }
     communicate(id, /*can_give=*/false);
-    if (shutdown_.load(std::memory_order_acquire)) return nullptr;
+    if (stopping()) return nullptr;
     b.pause();
   }
 }
 
-void private_deque_scheduler::worker_main(std::size_t id) {
-  tls_pd_worker_id = static_cast<int>(id);
-  tls_pd_scheduler = this;
-  if (cfg_.pin_threads) pin_current_thread(id);
+void private_deque_scheduler::work_loop(std::size_t id) {
   xoshiro256 rng(mix64(0xa076'1d64'78bd'642fULL ^ (id + 1)));
   worker& me = workers_[id]->value;
+  worker_slot& ms = slot(id);
 
-  // Same protocol as the ws scheduler (scheduler.cpp): pinned for the whole
-  // loop so every stale read is epoch-covered, refreshed at the loop top,
-  // ticked inside communicate(), unpinned across the park below.
-  mem::epoch::pin_guard eg;
-
-  while (!shutdown_.load(std::memory_order_acquire)) {
+  while (!stopping()) {
     mem::epoch::refresh();
     if (!me.tasks.empty()) {
       // Busy: poll for steal requests, then run the newest task (LIFO for
@@ -228,23 +168,7 @@ void private_deque_scheduler::worker_main(std::size_t id) {
       communicate(id, /*can_give=*/me.tasks.size() > 1);
       vertex* v = me.tasks.back();
       me.tasks.pop_back();
-      dag_engine* eng = engine_.load(std::memory_order_acquire);
-      assert(eng != nullptr && "work found with no engine attached");
-      const bool is_final = (v == stop_vertex_.load(std::memory_order_relaxed));
-      // Same busy-flag protocol as the ws scheduler (scheduler.cpp).
-      me.busy.store(true, std::memory_order_relaxed);
-      obs::gauge_add(obs::g_runnable, -1);
-      {
-        obs::span_guard sg(obs::sp_work);
-        eng->execute(v);
-      }
-      bump(me.executions);
-      me.busy.store(false, std::memory_order_release);
-      if (is_final) {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        done_.store(true, std::memory_order_release);
-        done_cv_.notify_all();
-      }
+      execute_one(ms, v);
       continue;
     }
 
@@ -261,18 +185,18 @@ void private_deque_scheduler::worker_main(std::size_t id) {
     if (!me.drains.empty()) {
       outset_drain_task* t = me.drains.front();
       me.drains.pop_front();
-      run_drain(id, t, /*migrated=*/false);
+      run_drain(ms, t, /*migrated=*/false);
       continue;
     }
     if (outset_drain_task* t = injected_drains_.pop()) {
-      run_drain(id, t, /*migrated=*/true);
+      run_drain(ms, t, /*migrated=*/true);
       continue;
     }
     bool got = false;
-    for (std::size_t attempt = 0;
-         attempt < cfg_.steal_attempts_before_park && !got; ++attempt) {
+    for (std::size_t attempt = 0; attempt < steal_attempts_before_park && !got;
+         ++attempt) {
       const std::size_t victim =
-          static_cast<std::size_t>(rng.below(workers_.size()));
+          static_cast<std::size_t>(rng.below(worker_count()));
       if (victim == id) continue;
       outset_drain_task* drain = nullptr;
       vertex* v = nullptr;
@@ -285,128 +209,21 @@ void private_deque_scheduler::worker_main(std::size_t id) {
       }
       if (v != nullptr) {
         me.tasks.push_back(v);
-        bump(me.steals);
+        bump(ms.steals);
         obs::emit(obs::ev_steal_success, static_cast<std::uint16_t>(victim));
         got = true;
       } else if (drain != nullptr) {
         // The victim had no vertex to spare and answered with broadcast
         // work instead: the receiver-initiated drain hand-off.
-        run_drain(id, drain, /*migrated=*/true);
+        run_drain(ms, drain, /*migrated=*/true);
         got = true;
       } else {
-        bump(me.failed_steals);
+        bump(ms.failed_steal_sweeps);
         communicate(id, /*can_give=*/false);
       }
-      if (shutdown_.load(std::memory_order_acquire)) return;
+      if (stopping()) return;
     }
-    if (got) continue;
-
-    // Park briefly; the timeout bounds both lost wakeups and the extra
-    // latency a spinning thief sees while we sleep. Unpin across the wait
-    // (a sleeping worker must not stall the global epoch); the shutdown
-    // check is an if-guard, not a break, so the unpin/pin bracket stays
-    // balanced and the loop condition re-checks shutdown.
-    mem::epoch::unpin();
-    {
-      std::unique_lock<std::mutex> lock(park_mu_);
-      if (!shutdown_.load(std::memory_order_acquire)) {
-        bump(me.parks);
-        parked_.fetch_add(1, std::memory_order_acq_rel);
-        {
-          obs::span_guard sg(obs::sp_idle);
-          park_cv_.wait_for(lock, cfg_.park_timeout);
-        }
-        parked_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-    mem::epoch::pin();
-  }
-}
-
-void private_deque_scheduler::begin_service(dag_engine& engine) {
-  assert(&engine.exec() == static_cast<executor*>(this) &&
-         "engine must be bound to this scheduler");
-  assert(done_.load(std::memory_order_acquire) &&
-         "begin_service may not overlap run()");
-  assert(!service_.load(std::memory_order_acquire) &&
-         "begin_service called twice");
-  service_.store(true, std::memory_order_release);
-  engine_.store(&engine, std::memory_order_release);
-}
-
-void private_deque_scheduler::end_service() {
-  assert(service_.load(std::memory_order_acquire) &&
-         "end_service without begin_service");
-  // The caller guarantees no further roots will be injected; spin out
-  // whatever is still in flight (parked workers re-check on their timeout).
-  backoff b;
-  while (!service_idle()) b.pause();
-  engine_.store(nullptr, std::memory_order_release);
-  service_.store(false, std::memory_order_release);
-}
-
-bool private_deque_scheduler::service_idle() const {
-  return injected_.size.load(std::memory_order_acquire) == 0 &&
-         injected_drains_.size.load(std::memory_order_acquire) == 0 &&
-         drains_pending_.load(std::memory_order_acquire) == 0 && !any_busy();
-}
-
-void private_deque_scheduler::run(dag_engine& engine, vertex* root,
-                                  vertex* final_v) {
-  assert(&engine.exec() == static_cast<executor*>(this) &&
-         "engine must be bound to this scheduler");
-  assert(!service_.load(std::memory_order_acquire) &&
-         "run() may not overlap resident-service mode");
-  engine_.store(&engine, std::memory_order_release);
-  stop_vertex_.store(final_v, std::memory_order_release);
-  done_.store(false, std::memory_order_release);
-  enqueue(root);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu_);
-    done_cv_.wait(lock, [this] { return done_.load(std::memory_order_acquire); });
-  }
-  // The final vertex ran, but a worker may still be in a vertex epilogue,
-  // and empty-subtree drain tasks (no consumer gated the finish on them)
-  // may still sit in private drain queues holding pinned future states.
-  // Spin out both so returning from run() implies every vertex is recycled
-  // and every drain delivered.
-  backoff b;
-  while (any_busy() || drains_pending_.load(std::memory_order_acquire) != 0) {
-    b.pause();
-  }
-  stop_vertex_.store(nullptr, std::memory_order_release);
-}
-
-scheduler_totals private_deque_scheduler::totals() const {
-  scheduler_totals t;
-  for (const auto& w : workers_) {
-    t.executions += w->value.executions.load(std::memory_order_relaxed);
-    t.steals += w->value.steals.load(std::memory_order_relaxed);
-    t.failed_steal_sweeps += w->value.failed_steals.load(std::memory_order_relaxed);
-    t.parks += w->value.parks.load(std::memory_order_relaxed);
-    t.drains_executed += w->value.drains_executed.load(std::memory_order_relaxed);
-    t.drains_stolen += w->value.drains_stolen.load(std::memory_order_relaxed);
-    t.drains_handed_off +=
-        w->value.drains_handed_off.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-void private_deque_scheduler::reset_totals() {
-  for (auto& w : workers_) {
-    w->value.executions.store(0, std::memory_order_relaxed);
-    w->value.steals.store(0, std::memory_order_relaxed);
-    w->value.failed_steals.store(0, std::memory_order_relaxed);
-    w->value.parks.store(0, std::memory_order_relaxed);
-    w->value.requests_served.store(0, std::memory_order_relaxed);
-    w->value.requests_declined.store(0, std::memory_order_relaxed);
-    w->value.drains_executed.store(0, std::memory_order_relaxed);
-    w->value.drains_stolen.store(0, std::memory_order_relaxed);
-    w->value.drains_handed_off.store(0, std::memory_order_relaxed);
+    if (!got) park(ms);
   }
 }
 

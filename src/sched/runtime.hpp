@@ -10,7 +10,9 @@
 //
 // Scheduler specs: "ws" (concurrent Chase-Lev deques, the default) or
 // "private" (private deques with explicit steal requests, the PPoPP'13
-// algorithm the reproduced paper's own evaluation used).
+// algorithm the reproduced paper's own evaluation used). Both are policies
+// over one worker-pool shell (sched/scheduler_base.hpp); the worker count
+// is the only scheduler setting.
 //
 // Out-set specs (waiter broadcast for futures, see make_outset_factory):
 // "simple" (single CAS-list head, the default) or "tree[:fanout[:threshold]]"
@@ -43,9 +45,11 @@
 namespace spdag {
 
 struct runtime_config {
-  std::size_t workers = 0;     // 0 = hardware_core_count()
-  std::string counter = "dyn"; // counter spec, see make_counter_factory
-  bool pin_threads = false;
+  // Worker threads; 0 = std::thread::hardware_concurrency() (1 if unknown).
+  // That counts the host's hardware threads, not the cores this process may
+  // actually use, so on a CPU-limited container it oversubscribes.
+  std::size_t workers = 0;
+  std::string counter = "dyn";  // counter spec, see make_counter_factory
   snzi::tree_stats* snzi_stats = nullptr;
   dag_engine_options engine_options = {};
   std::string sched = "ws";    // "ws" | "private"
@@ -64,18 +68,10 @@ struct runtime_config {
 
 // Builds a scheduler from its spec string.
 inline std::unique_ptr<scheduler_base> make_scheduler(const std::string& spec,
-                                                      std::size_t workers,
-                                                      bool pin_threads) {
-  if (spec == "ws") {
-    return std::make_unique<scheduler>(
-        scheduler_config{workers, pin_threads, /*steal_sweeps_before_park=*/4,
-                         std::chrono::microseconds{500}});
-  }
+                                                      std::size_t workers) {
+  if (spec == "ws") return std::make_unique<scheduler>(workers);
   if (spec == "private") {
-    return std::make_unique<private_deque_scheduler>(
-        private_deque_config{workers, pin_threads,
-                             /*steal_attempts_before_park=*/16,
-                             std::chrono::microseconds{500}});
+    return std::make_unique<private_deque_scheduler>(workers);
   }
   throw std::invalid_argument("unknown scheduler spec: " + spec);
 }
@@ -91,7 +87,7 @@ class runtime {
         factory_(make_counter_factory(cfg.counter, cfg.snzi_stats,
                                       pools_.get())),
         outsets_(make_outset_factory(cfg.outset, pools_.get())),
-        sched_(make_scheduler(cfg.sched, cfg.workers, cfg.pin_threads)),
+        sched_(make_scheduler(cfg.sched, cfg.workers)),
         engine_(*factory_, *sched_,
                 with_plumbing(cfg.engine_options, outsets_.get(),
                               pools_.get())) {}

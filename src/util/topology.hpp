@@ -1,25 +1,14 @@
 #pragma once
-// Hardware topology helpers: core counts and best-effort thread pinning.
-//
-// The paper's artifact uses hwloc to pin workers; inside this reproduction
-// pinning is best-effort (pthread affinity where available, no-op elsewhere)
-// because container environments often restrict affinity masks.
+// Hardware topology: the core count that sizes a default worker pool.
 
 #include <cstddef>
 
 namespace spdag {
 
-// Number of hardware threads visible to this process (>= 1).
+// Number of hardware threads visible to this process (>= 1):
+// std::thread::hardware_concurrency(), or 1 when that is unknown. It counts
+// the host's hardware threads, not the share a CPU-limited container may
+// use, so a default-sized pool can oversubscribe there.
 std::size_t hardware_core_count() noexcept;
-
-// Worker counts to sweep in scalability benchmarks: 1, 2, ... up to
-// max_workers, thinned to at most `points` entries. When the host has fewer
-// hardware threads than max_workers the extra workers are oversubscribed
-// (documented in EXPERIMENTS.md).
-// Returns an increasing sequence ending at max_workers.
-std::size_t pin_current_thread(std::size_t core_index) noexcept;
-
-// True if the last pin attempt on this thread succeeded (diagnostics).
-bool pinning_supported() noexcept;
 
 }  // namespace spdag

@@ -107,7 +107,7 @@ TEST(TimedFactory, RecordsEveryCounterOperation) {
 TEST(TimedFactory, PreservesProgramSemantics) {
   latency_histogram arrives, departs;
   timed_factory factory(make_counter_factory("dyn"), &arrives, &departs);
-  auto sched = make_scheduler("ws", 2, false);
+  auto sched = make_scheduler("ws", 2);
   dag_engine engine(factory, *sched);
   auto [root, final_v] = engine.make();
   std::atomic<int> leaves{0};

@@ -94,7 +94,7 @@ TEST(SpaceBounds, ReclamationKeepsAllocationsFlat) {
   // fewer SNZI pairs than it performs increments, because drained pairs are
   // recycled through the pool.
   snzi::tree_stats stats;
-  runtime rt(runtime_config{2, "dyn:1", false, &stats});
+  runtime rt(runtime_config{2, "dyn:1", &stats});
   const std::uint64_t n = 1 << 16;
   harness::fanin(rt, n);
   const auto allocs = stats.grow_allocs.load();
@@ -107,7 +107,7 @@ TEST(SpaceBounds, ReclamationKeepsAllocationsFlat) {
 TEST(SpaceBounds, ProbabilisticGrowthAllocatesAboutNOverThreshold) {
   snzi::tree_stats stats;
   const std::uint64_t threshold = 256;
-  runtime rt(runtime_config{1, "dyn:" + std::to_string(threshold), false, &stats});
+  runtime rt(runtime_config{1, "dyn:" + std::to_string(threshold), &stats});
   const std::uint64_t n = 1 << 16;
   harness::fanin(rt, n);
   const double expected = static_cast<double>(n) / static_cast<double>(threshold);
@@ -118,7 +118,7 @@ TEST(SpaceBounds, ProbabilisticGrowthAllocatesAboutNOverThreshold) {
 
 TEST(SpaceBounds, ThresholdZeroNeverAllocates) {
   snzi::tree_stats stats;
-  runtime rt(runtime_config{1, "dyn:0", false, &stats});
+  runtime rt(runtime_config{1, "dyn:0", &stats});
   harness::fanin(rt, 1 << 12);
   EXPECT_EQ(stats.grow_allocs.load(), 0u);
   EXPECT_EQ(stats.grow_reuses.load(), 0u);
@@ -128,7 +128,7 @@ TEST(SpaceBounds, ThresholdZeroNeverAllocates) {
 
 TEST(TheoryBounds, AmortizedArrivesPerIncrementAtMostThree) {
   snzi::tree_stats stats;
-  runtime rt(runtime_config{3, "dyn:1", false, &stats});
+  runtime rt(runtime_config{3, "dyn:1", &stats});
   harness::fanin(rt, 1 << 14);
   const double increments = static_cast<double>(rt.engine().stats().spawns.load());
   const double arrives = static_cast<double>(stats.arrives.load()) +
@@ -142,7 +142,7 @@ TEST(TheoryBounds, AmortizedArrivesPerIncrementAtMostThree) {
 
 TEST(TheoryBounds, DepartsMatchArrives) {
   snzi::tree_stats stats;
-  runtime rt(runtime_config{2, "dyn:1", false, &stats});
+  runtime rt(runtime_config{2, "dyn:1", &stats});
   harness::fanin(rt, 1 << 12);
   // Undone helper arrivals are counted inside arrives/departs symmetrically,
   // so totals must balance at quiescence.

@@ -221,6 +221,71 @@ TEST_P(ShardedEngineStats, LiveViewConservesAcrossFourWorkers) {
 INSTANTIATE_TEST_SUITE_P(Schedulers, ShardedEngineStats,
                          ::testing::Values("ws", "private"));
 
+// --- worker-pool lifecycle: run -> resident service -> run ----------------
+
+// One pool hands over between run()'s stop-vertex protocol and service
+// mode's per-dag completions, and back, under both policies.
+class SchedulerLifecycle : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SchedulerLifecycle, RunThenServiceThenRunOnOnePool) {
+  constexpr int kWorkers = 3;
+  constexpr int kRoots = 64;
+  runtime_config cfg{kWorkers, "dyn"};
+  cfg.sched = GetParam();
+  runtime rt(cfg);
+  dag_engine& eng = rt.engine();
+  scheduler_base& sched = rt.sched();
+  ASSERT_EQ(sched.worker_count(), static_cast<std::size_t>(kWorkers));
+
+  // Every body checks that it runs on one of this pool's workers.
+  std::atomic<int> bad_ids{0};
+  auto check_id = [&bad_ids] {
+    const int id = scheduler_base::current_worker_id();
+    if (id < 0 || id >= kWorkers) bad_ids.fetch_add(1);
+  };
+  auto tree = [&check_id] {
+    check_id();
+    fork2(check_id, check_id);
+  };
+
+  EXPECT_EQ(scheduler_base::current_worker_id(), -1);
+  rt.run(tree);
+  harness::fanin(rt, 1 << 8);
+  EXPECT_EQ(eng.live_vertices(), 0u);
+
+  sched.reset_totals();
+  eng.stats().reset();
+  sched.begin_service(eng);
+  std::atomic<int> completed{0};
+  for (int i = 0; i < kRoots; ++i) {
+    auto [root, final_v] = eng.make();
+    root->body = tree;
+    final_v->body = [&] {
+      check_id();
+      completed.fetch_add(1, std::memory_order_release);
+    };
+    eng.add(root);  // this thread is no worker: goes through injection
+  }
+  while (completed.load(std::memory_order_acquire) < kRoots) {
+    std::this_thread::yield();
+  }
+  sched.end_service();
+  EXPECT_TRUE(sched.service_idle());
+  EXPECT_EQ(eng.live_vertices(), 0u);
+  // root + two children + final per submitted dag.
+  EXPECT_EQ(eng.stats().vertices_created.load(), 4u * kRoots);
+  EXPECT_EQ(sched.totals().executions, eng.stats().vertices_created.load());
+
+  rt.run(tree);
+  harness::fanin(rt, 1 << 8);
+  EXPECT_EQ(eng.live_vertices(), 0u);
+  EXPECT_EQ(bad_ids.load(), 0);
+  EXPECT_EQ(scheduler_base::current_worker_id(), -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, SchedulerLifecycle,
+                         ::testing::Values("ws", "private"));
+
 TEST(Scheduler, CurrentWorkerIdIsMinusOneOutside) {
   EXPECT_EQ(scheduler::current_worker_id(), -1);
 }
