@@ -309,6 +309,7 @@ void emit_record(std::ostream& os, const json_record& r) {
      << ",\"steals\":" << r.sched_totals.steals
      << ",\"failed_steal_sweeps\":" << r.sched_totals.failed_steal_sweeps
      << ",\"parks\":" << r.sched_totals.parks
+     << ",\"wakeups\":" << r.sched_totals.wakeups
      << ",\"drains_executed\":" << r.sched_totals.drains_executed
      << ",\"drains_stolen\":" << r.sched_totals.drains_stolen
      << ",\"drains_handed_off\":" << r.sched_totals.drains_handed_off << "}";

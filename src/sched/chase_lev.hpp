@@ -75,7 +75,8 @@ class chase_lev_deque {
       x = a->get(b);
       if (t == b) {
         // Last element: race with thieves through the top CAS.
-        if (!top_.value.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+        if (!top_.value.compare_exchange_strong(t, t + 1,
+                                                std::memory_order_seq_cst,
                                                 std::memory_order_relaxed)) {
           x = nullptr;
         }
@@ -139,8 +140,9 @@ class chase_lev_deque {
   // Owner only.
   ring* grow(ring* old, std::int64_t b, std::int64_t t) {
     auto bigger = std::make_unique<ring>(
-        static_cast<std::size_t>(__builtin_ctzll(static_cast<unsigned long long>(
-            old->capacity))) + 1);
+        static_cast<std::size_t>(__builtin_ctzll(
+            static_cast<unsigned long long>(old->capacity))) +
+        1);
     for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
     ring* fresh = bigger.get();
     retired_.emplace_back(std::move(bigger));

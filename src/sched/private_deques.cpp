@@ -46,7 +46,7 @@ private_deque_scheduler::~private_deque_scheduler() {
       run_leftover(t);
     }
   }
-  while (outset_drain_task* t = injected_drains_.pop()) run_leftover(t);
+  while (outset_drain_task* t = injected_drains_.pop().task) run_leftover(t);
   assert(drains_pending_.load(std::memory_order_acquire) == 0 &&
          "drain accounting out of balance at teardown");
 }
@@ -82,7 +82,7 @@ void private_deque_scheduler::enqueue_drain(outset_drain_task* t) {
       // External thread: nothing private to queue on; inject for an idle
       // worker to adopt (the dual of the vertex injection queue).
       drain_enqueued();
-      injected_drains_.push(t);
+      injected_drains_.push({t, -1});
       unpark_some();
       return;
     }
@@ -188,7 +188,7 @@ void private_deque_scheduler::work_loop(std::size_t id) {
       run_drain(ms, t, /*migrated=*/false);
       continue;
     }
-    if (outset_drain_task* t = injected_drains_.pop()) {
+    if (outset_drain_task* t = injected_drains_.pop().task) {
       run_drain(ms, t, /*migrated=*/true);
       continue;
     }

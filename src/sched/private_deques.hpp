@@ -101,8 +101,6 @@ class private_deque_scheduler final : public scheduler_base {
                     outset_drain_task** drain_out);
 
   std::vector<std::unique_ptr<padded<worker>>> workers_;
-  // Drains enqueued by non-worker threads; idle workers adopt and run them.
-  injection_queue<outset_drain_task*> injected_drains_;
 };
 
 }  // namespace spdag

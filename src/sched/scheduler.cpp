@@ -42,12 +42,12 @@ void scheduler::enqueue(vertex* v) {
 
 void scheduler::enqueue_drain(outset_drain_task* t) {
   drain_enqueued();
-  drains_.push({t, local_worker()});
+  injected_drains_.push({t, local_worker()});
   unpark_some();
 }
 
 bool scheduler::run_one_drain(std::size_t id, worker_slot& me) {
-  const drain_item item = drains_.pop();
+  const drain_item item = injected_drains_.pop();
   if (item.task == nullptr) return false;
   const bool migrated = item.from != static_cast<int>(id);
   // The shared lane IS this scheduler's transfer mechanism: every drain

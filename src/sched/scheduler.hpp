@@ -35,27 +35,20 @@ class scheduler final : public scheduler_base {
   // deque; everyone else goes through the injection queue.
   void enqueue(vertex* v) override;
 
-  // Drain lane for parallel out-set finalize: tasks land on a shared queue
-  // that workers poll only when they have no vertex work, so subtree drains
-  // migrate to idle cores without displacing the dag's critical path. run()
-  // does not return until the lane is empty (drains are part of quiescence).
+  // Drain lane for parallel out-set finalize: tasks land on the shell's
+  // shared injected_drains_ queue, which workers poll only when they have
+  // no vertex work, so subtree drains migrate to idle cores without
+  // displacing the dag's critical path. run() does not return until the
+  // lane is empty (drains are part of quiescence).
   void enqueue_drain(outset_drain_task* t) override;
 
  private:
-  // One queued subtree drain; `from` is the enqueuing worker (-1 external),
-  // kept to tell migrated drains (steals) from self-run ones.
-  struct drain_item {
-    outset_drain_task* task;
-    int from;
-  };
-
   void work_loop(std::size_t id) override;
   vertex* find_work(std::size_t id, worker_slot& me, xoshiro256& rng);
   // Runs one queued drain task if any; returns whether it did.
   bool run_one_drain(std::size_t id, worker_slot& me);
 
   std::vector<std::unique_ptr<padded<chase_lev_deque<vertex>>>> deques_;
-  injection_queue<drain_item> drains_;
 };
 
 }  // namespace spdag

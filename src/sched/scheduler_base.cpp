@@ -43,36 +43,74 @@ void scheduler_base::start() {
 }
 
 void scheduler_base::stop() {
-  shutdown_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
+  shutdown_.store(true, std::memory_order_seq_cst);
+  // Every sleeper's wait predicate reads stopping(); taking its mutex
+  // before the notify means it is either about to read the flag or already
+  // waiting for this notify.
+  for (auto& s : slots_) {
+    park_cell& c = s->value.park.value;
+    { std::lock_guard<std::mutex> lock(c.mu); }
+    c.cv.notify_one();
   }
   for (auto& t : threads_) t.join();
   threads_.clear();
 }
 
 void scheduler_base::park(worker_slot& me) {
-  // The timeout (rather than precise wakeup accounting) keeps the protocol
-  // simple and bounds both a lost wakeup and the extra latency a spinning
-  // thief sees while we sleep. Unpin across the wait — a sleeping worker
-  // must not stall the global epoch — and re-pin on wake, before the loop
-  // touches anything pooled. The shutdown check is an if-guard so the
-  // unpin/pin bracket stays balanced; the work loop re-checks stopping().
+  // Unpin across the wait — a sleeping worker must not stall the global
+  // epoch — and re-pin on wake, before the loop touches anything pooled.
+  // The shutdown check is an if-guard so the unpin/pin bracket stays
+  // balanced; the work loop re-checks stopping().
   mem::epoch::unpin();
-  {
-    std::unique_lock<std::mutex> lock(park_mu_);
-    if (!shutdown_.load(std::memory_order_acquire)) {
-      bump(me.parks);
-      parked_.fetch_add(1, std::memory_order_acq_rel);
-      {
-        obs::span_guard sg(obs::sp_idle);
-        park_cv_.wait_for(lock, park_timeout);
-      }
-      parked_.fetch_sub(1, std::memory_order_acq_rel);
+  park_cell& c = me.park.value;
+  if (!stopping()) {
+    bump(me.parks);
+    // Count first, cell second: sleepers_ never reads below the number of
+    // parked cells, so a waker that reads 0 has nobody to claim.
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    c.state.store(parked, std::memory_order_seq_cst);
+    if (injected_.empty() && injected_drains_.empty()) {
+      obs::span_guard sg(obs::sp_idle);
+      std::unique_lock<std::mutex> lock(c.mu);
+      c.cv.wait_for(lock, park_timeout, [&] {
+        return c.state.load(std::memory_order_acquire) != parked ||
+               stopping();
+      });
+    }
+    int expect = parked;
+    if (c.state.compare_exchange_strong(expect, running,
+                                        std::memory_order_seq_cst)) {
+      // Timed out, shut down, or found injected work: withdraw.
+      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    } else {
+      // A waker claimed this cell and already took it off the count.
+      bump(me.wakeups);
+      c.state.store(running, std::memory_order_relaxed);
     }
   }
   mem::epoch::pin();
+}
+
+bool scheduler_base::claim_one() {
+  // Start after the caller's own slot (a worker never parks while it
+  // enqueues) so concurrent wakers spread over the pool.
+  const std::size_t n = slots_.size();
+  const std::size_t first = static_cast<std::size_t>(local_worker() + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    park_cell& c = slots_[(first + i) % n]->value.park.value;
+    if (c.state.load(std::memory_order_seq_cst) != parked) continue;
+    std::unique_lock<std::mutex> lock(c.mu);
+    int expect = parked;
+    if (!c.state.compare_exchange_strong(expect, claimed,
+                                         std::memory_order_seq_cst)) {
+      continue;
+    }
+    lock.unlock();
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    c.cv.notify_one();
+    return true;
+  }
+  return false;
 }
 
 void scheduler_base::run_drain(worker_slot& me, outset_drain_task* t,
@@ -108,9 +146,10 @@ void scheduler_base::run(dag_engine& engine, vertex* root, vertex* final_v) {
   stop_vertex_.store(final_v, std::memory_order_release);
   done_.store(false, std::memory_order_release);
   enqueue(root);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
+  // The root spawns work at once: bring every announced sleeper out to
+  // steal it rather than leave them to their timeouts.
+  while (sleepers_.load(std::memory_order_seq_cst) != 0) {
+    if (!claim_one()) break;
   }
   {
     std::unique_lock<std::mutex> lock(done_mu_);
@@ -173,6 +212,7 @@ scheduler_totals scheduler_base::totals() const {
     t.failed_steal_sweeps +=
         w.failed_steal_sweeps.load(std::memory_order_relaxed);
     t.parks += w.parks.load(std::memory_order_relaxed);
+    t.wakeups += w.wakeups.load(std::memory_order_relaxed);
     t.drains_executed += w.drains_executed.load(std::memory_order_relaxed);
     t.drains_stolen += w.drains_stolen.load(std::memory_order_relaxed);
     t.drains_handed_off += w.drains_handed_off.load(std::memory_order_relaxed);
@@ -184,7 +224,7 @@ void scheduler_base::reset_totals() {
   for (auto& s : slots_) {
     worker_slot& w = s->value;
     for (auto* c : {&w.executions, &w.steals, &w.failed_steal_sweeps, &w.parks,
-                    &w.drains_executed, &w.drains_stolen,
+                    &w.wakeups, &w.drains_executed, &w.drains_stolen,
                     &w.drains_handed_off}) {
       c->store(0, std::memory_order_relaxed);
     }

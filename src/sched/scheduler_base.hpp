@@ -49,7 +49,12 @@ struct scheduler_totals {
   // parks after 4 in a row); for `private`, one failed steal attempt — a
   // lost request CAS or a declined request (a worker parks after 16).
   std::uint64_t failed_steal_sweeps = 0;
+  // Park announcements, and of those the ones a waker claimed (the rest
+  // timed out or withdrew on finding work). So wakeups <= parks, except
+  // that a reset_totals() while a worker sleeps can count its wakeup
+  // without its park.
   std::uint64_t parks = 0;
+  std::uint64_t wakeups = 0;
   // Out-set subtree-drain tasks run by workers (the parallel finalize lane;
   // zero when every drain ran inline on the enqueuing thread).
   std::uint64_t drains_executed = 0;
@@ -66,14 +71,16 @@ struct scheduler_totals {
 };
 
 // Mutexed FIFO with a lock-free emptiness probe, for work handed to a pool
-// by threads that cannot use a worker's own queue.
+// by threads that cannot use a worker's own queue. The size is published and
+// probed seq_cst: a parking worker's re-check of it pairs with the pusher's
+// read of the sleeper count (scheduler_base::park), so a push never strands.
 template <typename T>
 class injection_queue {
  public:
   void push(T item) {
     std::lock_guard<std::mutex> lock(mu_);
     items_.push_back(item);
-    size_.fetch_add(1, std::memory_order_release);
+    size_.fetch_add(1, std::memory_order_seq_cst);
   }
 
   // The oldest item, or a value-initialized T when the queue is empty.
@@ -88,7 +95,7 @@ class injection_queue {
   }
 
   bool empty() const noexcept {
-    return size_.load(std::memory_order_acquire) == 0;
+    return size_.load(std::memory_order_seq_cst) == 0;
   }
 
  private:
@@ -99,8 +106,8 @@ class injection_queue {
 
 class scheduler_base : public executor {
  public:
-  // How long an idle worker sleeps before looking for work again; bounds
-  // the cost of a lost wakeup.
+  // How long an idle worker sleeps before looking for work again: the
+  // backstop for the wakes park() lets the per-vertex path miss.
   static constexpr std::chrono::microseconds park_timeout{500};
 
   ~scheduler_base() override;
@@ -142,19 +149,40 @@ class scheduler_base : public executor {
   static int current_worker_id() noexcept { return tls_worker_id_; }
 
  protected:
-  // One worker's shared state, written only by that worker: `busy` is up
-  // while it executes a vertex (run() and service_idle() scan the flags),
-  // and the tallies are single-writer (util/tally.hpp) that totals() sums
-  // from any thread.
+  // Where a worker sleeps. `state` goes running -> parked when the owner
+  // announces itself, parked -> claimed when one waker picks it, and back
+  // to running when the owner wakes (or withdraws parked -> running itself).
+  // The mutex and cv serve only this worker and its one claimer.
+  enum park_state : int { running, parked, claimed };
+  struct park_cell {
+    std::atomic<int> state{running};
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+
+  // One worker's shared state. `busy` is up while it executes a vertex
+  // (run() and service_idle() scan the flags), and the tallies are
+  // single-writer (util/tally.hpp) that totals() sums from any thread; only
+  // the worker writes either. Wakers touch only `park`, on its own line.
   struct worker_slot {
     std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> executions{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steal_sweeps{0};
     std::atomic<std::uint64_t> parks{0};
+    std::atomic<std::uint64_t> wakeups{0};
     std::atomic<std::uint64_t> drains_executed{0};
     std::atomic<std::uint64_t> drains_stolen{0};
     std::atomic<std::uint64_t> drains_handed_off{0};
+    cache_aligned<park_cell> park;
+  };
+
+  // One queued out-set subtree drain; `from` is the enqueuing worker (-1
+  // for a non-worker thread), kept to tell migrated drains from self-run
+  // ones.
+  struct drain_item {
+    outset_drain_task* task;
+    int from;
   };
 
   // `workers` == 0 means hardware_core_count(). Starts no thread: a policy
@@ -199,15 +227,36 @@ class scheduler_base : public executor {
     }
   }
 
-  // Sleeps the worker owning `me` for up to park_timeout, or until
-  // unpark_some() or stop() wakes it.
+  // Waking an idle worker is a claim, not a broadcast. park() announces
+  // the worker (sleepers_ + 1, then its cell parked), re-checks the two
+  // injection queues, and sleeps on its own cell until a waker claims it,
+  // stop() runs, or park_timeout passes; on a timeout it withdraws the
+  // announcement unless a waker claimed it first. unpark_some() reads
+  // sleepers_ and, only when someone is unclaimed, CASes one parked cell to
+  // claimed, takes it off the count and notifies that worker alone. So
+  // enqueue's common case is one load of a word nobody writes while the
+  // pool is busy: no mutex, no RMW, no fence, and a notified worker no
+  // longer draws a notify from every enqueue until it is scheduled.
+  //
+  // Which wakes may be missed. A worker pushing onto its own deque (or,
+  // under `private`, its own drain queue) reads sleepers_ with no StoreLoad
+  // fence after the push (on x86 the seq_cst load below is a plain load;
+  // the push's store is not seq_cst), so it can miss a worker that is
+  // announcing at that moment. That costs at most one park_timeout of
+  // stealing delay: the pusher runs its own queue anyway. Keeping a fence
+  // off that path is the point, since it runs once per vertex. Work from
+  // non-worker threads has no such owner: run()'s root, service submissions and external drains go
+  // through injected_ / injected_drains_, whose size is published seq_cst
+  // before the pusher's seq_cst read of sleepers_, while park() announces
+  // seq_cst before its seq_cst re-check of the same sizes. One of the two
+  // sides sees the other, so an injected item is never left with every
+  // worker asleep.
+  //
+  // park() sleeps the worker owning `me`; call it only from that worker.
   void park(worker_slot& me);
 
   void unpark_some() {
-    if (parked_.load(std::memory_order_acquire) > 0) {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      park_cv_.notify_one();
-    }
+    if (sleepers_.load(std::memory_order_seq_cst) != 0) claim_one();
   }
 
   // Counts a drain task toward quiescence; call BEFORE the task becomes
@@ -224,6 +273,9 @@ class scheduler_base : public executor {
 
   // Roots (and any other vertex) enqueued by non-worker threads.
   injection_queue<vertex*> injected_;
+  // Drain tasks any worker may run: `ws`'s shared drain lane, and the
+  // drains non-worker threads hand `private`.
+  injection_queue<drain_item> injected_drains_;
   // Enqueued but not yet finished draining (decremented after the task
   // runs, so a zero means every queued subtree is fully delivered — run()
   // and service_idle() wait on it).
@@ -234,6 +286,8 @@ class scheduler_base : public executor {
   virtual void work_loop(std::size_t id) = 0;
   // True while any worker is executing a vertex.
   bool any_busy() const;
+  // Claims and wakes one parked worker; false if none was parked.
+  bool claim_one();
 
   static inline thread_local int tls_worker_id_ = -1;
   static inline thread_local const scheduler_base* tls_pool_ = nullptr;
@@ -241,9 +295,11 @@ class scheduler_base : public executor {
   std::vector<std::unique_ptr<padded<worker_slot>>> slots_;
   std::vector<std::thread> threads_;
 
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<int> parked_{0};
+  // Workers announced in park() and not yet claimed or withdrawn: the one
+  // word enqueue reads. Never below the number of parked cells. Written only
+  // on park transitions, so it shares its line with the read-mostly words
+  // below.
+  std::atomic<int> sleepers_{0};
 
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> service_{false};

@@ -26,7 +26,8 @@ inline void cpu_relax() noexcept {
 // oversubscribed (more workers than hardware threads).
 class backoff {
  public:
-  explicit backoff(std::uint32_t spin_cap = 1024) noexcept : spin_cap_(spin_cap) {}
+  explicit backoff(std::uint32_t spin_cap = 1024) noexcept
+      : spin_cap_(spin_cap) {}
 
   void pause() noexcept {
     if (spins_ <= spin_cap_) {

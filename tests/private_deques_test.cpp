@@ -12,6 +12,7 @@
 #include "outset/outset.hpp"
 #include "sched/private_deques.hpp"
 #include "sched/runtime.hpp"
+#include "steal_probe.hpp"
 
 namespace spdag {
 namespace {
@@ -39,9 +40,10 @@ TEST(PrivateDeques, SingleWorkerNeverSteals) {
 TEST(PrivateDeques, StealsMigrateWorkAcrossWorkers) {
   runtime rt(pd(4));
   rt.sched().reset_totals();
-  harness::fanin(rt, 1 << 14);
+  const std::size_t workers = test::fanin_until_stolen(rt, 1 << 14);
   EXPECT_GT(rt.sched().totals().steals, 0u)
-      << "a wide fanin should trigger at least one successful steal request";
+      << "a second worker (" << workers << " ran leaves) gets work only "
+         "through a successful steal request";
 }
 
 TEST(PrivateDeques, RepeatedRunsStaySound) {
@@ -79,7 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("faa", "snzi:2", "dyn:1", "dyn"),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{4}, std::size_t{8})),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, std::size_t>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<std::string, std::size_t>>&
+           info) {
       std::string algo = std::get<0>(info.param);
       for (char& ch : algo) {
         if (ch == ':') ch = '_';

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "sched/chase_lev.hpp"
 #include "sched/runtime.hpp"
 #include "sched/scheduler.hpp"
+#include "steal_probe.hpp"
 
 namespace spdag {
 namespace {
@@ -77,8 +79,11 @@ TEST(ChaseLev, EveryItemTakenExactlyOnceUnderTheft) {
   std::vector<std::thread> thieves;
   for (int t = 0; t < kThieves; ++t) {
     thieves.emplace_back([&, t] {
-      while (!owner_done.load(std::memory_order_acquire) || d.size_estimate() > 0) {
-        if (item* it = d.steal_top()) stolen[static_cast<size_t>(t)].push_back(it->value);
+      while (!owner_done.load(std::memory_order_acquire) ||
+             d.size_estimate() > 0) {
+        if (item* it = d.steal_top()) {
+          stolen[static_cast<size_t>(t)].push_back(it->value);
+        }
       }
     });
   }
@@ -155,13 +160,11 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, SchedulerWorkers,
 TEST(Scheduler, StealsHappenWithMultipleWorkers) {
   runtime rt(runtime_config{4, "dyn"});
   rt.sched().reset_totals();
-  harness::fanin(rt, 1 << 14);
+  const std::size_t workers = test::fanin_until_stolen(rt, 1 << 14);
   const scheduler_totals t = rt.sched().totals();
   EXPECT_GT(t.executions, 0u);
-  // On a multi-worker run of a wide dag some work should migrate. (This can
-  // be flaky only if one worker does everything; the fanin tree is wide
-  // enough that at least one steal is essentially certain.)
-  EXPECT_GT(t.steals, 0u);
+  // A second worker ran a leaf only if it stole: the tally must show it.
+  EXPECT_GT(t.steals, 0u) << workers << " workers ran leaves";
 }
 
 TEST(Scheduler, ExternalEnqueueGoesThroughInjectionQueue) {
@@ -284,6 +287,38 @@ TEST_P(SchedulerLifecycle, RunThenServiceThenRunOnOnePool) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, SchedulerLifecycle,
+                         ::testing::Values("ws", "private"));
+
+// --- waking: a wake is a claim on one announced sleeper -------------------
+
+// Each claim wakes one park announcement, and a claimed worker counts the
+// wakeup itself, so wakeups can never outnumber parks. A waker that
+// notified whenever anyone was parked (without claiming) would count about
+// one wakeup per enqueue while a notified worker waits to be scheduled.
+class SchedulerWakeups : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SchedulerWakeups, EveryWakeupClaimsOnePark) {
+  runtime_config cfg{4, "dyn"};
+  cfg.sched = GetParam();
+  runtime rt(cfg);  // fresh tallies: every wakeup's park is counted
+  for (int rep = 0; rep < 3; ++rep) {
+    harness::fanin(rt, 1 << 16);
+    const scheduler_totals t = rt.sched().totals();
+    EXPECT_LE(t.wakeups, t.parks) << "rep " << rep;
+  }
+  // Not vacuous: idle workers park within a few failed sweeps.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rt.sched().totals().parks == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const scheduler_totals t = rt.sched().totals();
+  EXPECT_GT(t.parks, 0u);
+  EXPECT_LE(t.wakeups, t.parks);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, SchedulerWakeups,
                          ::testing::Values("ws", "private"));
 
 TEST(Scheduler, CurrentWorkerIdIsMinusOneOutside) {
